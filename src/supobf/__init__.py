@@ -19,10 +19,8 @@ from .attack import (AnnotatedSupervisor, AttackVerdict, AttackWitness,
                      annotate_supervisor, attackable_by_search,
                      determinize_and_label, generalized_product,
                      non_attackable, project_attacker_view, subset_to_dot)
-from .obfuscate import (ObfuscationOptions, ObfuscationRequest,
-                        ObfuscationResult, SizeTrace,
-                        behavior_preserving_supervisors, min_preserving_size,
-                        obfuscate)
+from .obfuscate import (ObfuscationRequest, ObfuscationResult, SizeTrace,
+                        behavior_preserving_supervisors, obfuscate)
 from .problemfile import (ParseError, ProblemFile, emit_automaton_section,
                           emit_problem, load_problem, parse_problem)
 from .sat import BackendError, SatSolver

@@ -232,6 +232,7 @@ class AttackVerdict:
     non_attackable: bool
     witness: Optional[AttackWitness] = None
     subset_automaton: Optional[SubsetAutomaton] = None
+    product: Optional[GPAutomaton] = None  # the cores ``subset_automaton`` indexes
 
 
 def non_attackable(g: PartialDFA, s: Supervisor, h: PartialDFA,
@@ -265,8 +266,8 @@ def non_attackable(g: PartialDFA, s: Supervisor, h: PartialDFA,
             witness = AttackWitness(tuple(path), subset,
                                     tuple(gp.names[v] for v in sorted(subset)),
                                     min(lab))
-            return AttackVerdict(False, witness, sub)
-    return AttackVerdict(True, None, sub)
+            return AttackVerdict(False, witness, sub, gp)
+    return AttackVerdict(True, None, sub, gp)
 
 
 @dataclass(frozen=True)

@@ -204,9 +204,10 @@ class DualMarkedDFA:
         return self.trans[(state, event)]
 
 
-def complete(p: PartialDFA) -> CompleteDFA:
-    """Add an absorbing dump state and redirect every undefined transition
-    to it; the original states become the marked set."""
+def _with_absorbing_state(p: PartialDFA, name: str,
+                          marked: frozenset[int]) -> PartialDFA:
+    """Append an absorbing state ``name`` that every undefined transition
+    of ``p`` is redirected to, with ``marked`` as the marked set."""
     n = p.n_states
     trans = dict(p.trans)
     for q in range(n):
@@ -214,9 +215,14 @@ def complete(p: PartialDFA) -> CompleteDFA:
             trans.setdefault((q, ev), n)
     for ev in p.alphabet.events:
         trans[(n, ev)] = n
-    inner = PartialDFA(p.alphabet, p.names + ("dump",), trans, p.initial,
-                       frozenset(range(n)))
-    return CompleteDFA(inner, n)
+    return PartialDFA(p.alphabet, p.names + (name,), trans, p.initial, marked)
+
+
+def complete(p: PartialDFA) -> CompleteDFA:
+    """Add an absorbing dump state and redirect every undefined transition
+    to it; the original states become the marked set."""
+    inner = _with_absorbing_state(p, "dump", frozenset(range(p.n_states)))
+    return CompleteDFA(inner, p.n_states)
 
 
 def strip_dump(c: CompleteDFA) -> PartialDFA:
@@ -239,16 +245,8 @@ def totalize(p: PartialDFA, sink_name: str = "sink") -> PartialDFA:
         return p
     while sink_name in p.names:
         sink_name += "'"
-    n = p.n_states
-    trans = dict(p.trans)
-    for q in range(n):
-        for ev in p.alphabet.events:
-            trans.setdefault((q, ev), n)
-    for ev in p.alphabet.events:
-        trans[(n, ev)] = n
-    marked = p.marked if p.marked is not None else frozenset(range(n))
-    return PartialDFA(p.alphabet, p.names + (sink_name,), trans, p.initial,
-                      frozenset(marked))
+    marked = p.marked if p.marked is not None else range(p.n_states)
+    return _with_absorbing_state(p, sink_name, frozenset(marked))
 
 
 def is_total(p: PartialDFA) -> bool:

@@ -13,15 +13,14 @@ import json
 import sys
 import time
 
-from .automata import AutomatonError, to_dot
+from .automata import AutomatonError, complete, dual_marked_product, to_dot
 from .attack import attackable_by_search, non_attackable, subset_to_dot
 from .control import closed_loop, validate_damage
-from .obfuscate import (ObfuscationOptions, ObfuscationRequest,
-                        behavior_preserving_supervisors, obfuscate)
+from .obfuscate import (ObfuscationRequest, behavior_preserving_supervisors,
+                        obfuscate)
 from .problemfile import (ParseError, ProblemFile, emit_automaton_section,
                           emit_problem, load_problem, with_supervisor)
 from .satenc import encode, export_dimacs
-from .automata import complete, dual_marked_product
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -76,13 +75,8 @@ def cmd_check(args) -> int:
     pf = _load(args)
     verdict = non_attackable(pf.plant, pf.supervisor, pf.damage, pf.attack)
     if args.dot:
-        from .attack import (annotate_supervisor, determinize_and_label,
-                             generalized_product, project_attacker_view)
-        gp = generalized_product(pf.plant, annotate_supervisor(pf.supervisor),
-                                 pf.damage, pf.attack)
-        sub = determinize_and_label(project_attacker_view(gp), gp)
         with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(subset_to_dot(sub, gp))
+            fh.write(subset_to_dot(verdict.subset_automaton, verdict.product))
     if verdict.non_attackable:
         print("non-attackable")
         return EXIT_OK
@@ -104,7 +98,7 @@ def cmd_synth_bp(args) -> int:
             fh.write(export_dimacs(cnf, vt))
     sups, truncated = behavior_preserving_supervisors(
         pf.plant, pf.supervisor.automaton, pf.control, args.n,
-        dedupe_isomorphic=not args.no_dedupe, limit=args.limit)
+        limit=args.limit)
     print(f"# {len(sups)} behavior-preserving supervisor(s) of size {args.n}"
           + (" (truncated)" if truncated else ""))
     for i, sup in enumerate(sups):
@@ -116,11 +110,9 @@ def cmd_synth_bp(args) -> int:
 def cmd_obfuscate(args) -> int:
     pf = _load(args)
     started = time.perf_counter()
-    options = ObfuscationOptions(bisect=args.bisect,
-                                 dedupe_isomorphic=not args.no_dedupe,
-                                 enumeration_limit=args.limit)
     req = ObfuscationRequest(pf.plant, pf.supervisor, pf.control, pf.attack,
-                             pf.damage, n_max=args.nmax, options=options)
+                             pf.damage, n_max=args.nmax,
+                             enumeration_limit=args.limit)
 
     def report(row):
         print(f"size {row.n}: {row.candidates} candidate(s), "
@@ -134,9 +126,7 @@ def cmd_obfuscate(args) -> int:
     summary = {
         "command": "obfuscate",
         "input_sha256": _digest(args.file),
-        "options": {"nmax": result.n_max, "bisect": args.bisect,
-                    "dedupe_isomorphic": not args.no_dedupe,
-                    "limit": args.limit},
+        "options": {"nmax": result.n_max, "limit": args.limit},
         "found": result.found,
         "size": result.size,
         "candidates_tested": result.candidates_tested,
@@ -219,9 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="enumerate exact-size behavior-preserving supervisors")
     p.add_argument("file")
     p.add_argument("-n", type=int, required=True, help="exact state count")
-    p.add_argument("--limit", type=int, help="cap on SAT models per size")
-    p.add_argument("--no-dedupe", action="store_true",
-                   help="keep isomorphic duplicates")
+    p.add_argument("--limit", type=int,
+                   help="cap on SAT models per size (at least 1)")
     p.add_argument("--dimacs", help="dump the CNF instance")
     p.set_defaults(func=cmd_synth_bp)
 
@@ -230,10 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--nmax", type=int,
                    help="largest size to try (default: supervisor size)")
-    p.add_argument("--bisect", action="store_true",
-                   help="find the starting size by bisection")
-    p.add_argument("--limit", type=int, help="cap on SAT models per size")
-    p.add_argument("--no-dedupe", action="store_true")
+    p.add_argument("--limit", type=int,
+                   help="cap on SAT models per size (at least 1)")
     p.add_argument("--out", help="write a problem file with the new supervisor")
     p.add_argument("--json", help="write a machine-readable summary")
     p.set_defaults(func=cmd_obfuscate)

@@ -10,23 +10,16 @@ smaller size is what makes the returned supervisor minimum-state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
-from .automata import (PartialDFA, canonical_key, complete,
+from .automata import (DualMarkedDFA, PartialDFA, canonical_key, complete,
                        dual_marked_product, reachable_states)
 from .control import (AttackConstraint, ControlConstraint, Supervisor,
                       closed_loop, validate_damage)
 from .attack import non_attackable
 from .sat import SatSolver
 from .satenc import blocking_clause, decode_model, encode, solve_instance
-
-
-@dataclass
-class ObfuscationOptions:
-    bisect: bool = False
-    dedupe_isomorphic: bool = True
-    enumeration_limit: Optional[int] = None  # SAT models per size
 
 
 @dataclass
@@ -37,7 +30,7 @@ class ObfuscationRequest:
     attack: AttackConstraint
     damage: PartialDFA
     n_max: Optional[int] = None  # default: reachable size of the supervisor
-    options: ObfuscationOptions = field(default_factory=ObfuscationOptions)
+    enumeration_limit: Optional[int] = None  # SAT models per size
 
 
 @dataclass
@@ -67,32 +60,38 @@ class EnumerationStats:
     solver: Optional[SatSolver] = None
 
 
-def iter_size_candidates(plant: PartialDFA, sup_aut: PartialDFA,
-                         constraint: ControlConstraint, n: int,
-                         limit: Optional[int] = None,
+def iter_size_candidates(product: DualMarkedDFA, constraint: ControlConstraint,
+                         n: int, limit: Optional[int] = None,
                          stats: Optional[EnumerationStats] = None
-                         ) -> Iterator[PartialDFA]:
-    """Stream the behavior-preserving supervisors of exact reachable size
-    ``n`` in solver order.
+                         ) -> Iterator[tuple[tuple, PartialDFA]]:
+    """Stream ``(canonical key, supervisor)`` for the behavior-preserving
+    supervisors of exact reachable size ``n`` over the dual-marked
+    ``product``, one per isomorphism class, in solver order.
 
     Every model is blocked on its reachable transition function before
     re-solving; models whose reachable part is smaller than ``n`` are
     blocked but not yielded (they were enumerated at their own size).
-    ``limit`` caps the number of SAT models taken from the solver.
+    ``limit`` caps the number of SAT models taken from the solver and
+    must be at least 1.
     """
+    if limit is not None and limit < 1:
+        raise ValueError("the enumeration limit must be at least 1")
     if stats is None:
         stats = EnumerationStats()
-    product = dual_marked_product(complete(plant), complete(sup_aut))
     cnf, vt = encode(n, product, constraint)
     backend = solve_instance(cnf)
     stats.solver = backend
+    seen = set()
     while backend.solve():
         stats.models += 1
         model = backend.model()
         decoded = decode_model(model, vt)
         backend.add_clause(blocking_clause(model, vt, decoded.rows))
         if len(decoded.rows) == n:
-            yield decoded.automaton
+            key = canonical_key(decoded.automaton)
+            if key not in seen:
+                seen.add(key)
+                yield key, decoded.automaton
         if limit is not None and stats.models >= limit:
             stats.truncated = True
             return
@@ -100,57 +99,15 @@ def iter_size_candidates(plant: PartialDFA, sup_aut: PartialDFA,
 
 def behavior_preserving_supervisors(plant: PartialDFA, sup_aut: PartialDFA,
                                     constraint: ControlConstraint, n: int,
-                                    dedupe_isomorphic: bool = True,
                                     limit: Optional[int] = None):
     """All behavior-preserving supervisors of exact reachable size ``n``,
-    canonically sorted; returns (supervisors, truncated)."""
+    one per isomorphism class, canonically sorted; returns (supervisors,
+    truncated)."""
     stats = EnumerationStats()
-    seen = set()
-    out = []
-    for cand in iter_size_candidates(plant, sup_aut, constraint, n, limit, stats):
-        key = canonical_key(cand)
-        if dedupe_isomorphic:
-            if key in seen:
-                continue
-            seen.add(key)
-        out.append((key, cand))
-    out.sort(key=lambda kc: kc[0])
-    return [c for _, c in out], stats.truncated
-
-
-def is_size_feasible(plant: PartialDFA, sup_aut: PartialDFA,
-                     constraint: ControlConstraint, n: int) -> bool:
     product = dual_marked_product(complete(plant), complete(sup_aut))
-    cnf, _ = encode(n, product, constraint)
-    return solve_instance(cnf).solve()
-
-
-def min_preserving_size(plant: PartialDFA, sup_aut: PartialDFA,
-                        constraint: ControlConstraint,
-                        n_max: int) -> Optional[int]:
-    """Smallest feasible size in [1, n_max], by bisection.
-
-    Sound because feasibility is monotone in the bound: a smaller
-    supervisor padded with an unreachable state stays a model.
-    """
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
-    product = dual_marked_product(complete(plant), complete(sup_aut))
-
-    def feasible(n):
-        cnf, _ = encode(n, product, constraint)
-        return solve_instance(cnf).solve()
-
-    if not feasible(n_max):
-        return None
-    lo, hi = 1, n_max
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return hi
+    found = sorted(iter_size_candidates(product, constraint, n, limit, stats),
+                   key=lambda kc: kc[0])
+    return [c for _, c in found], stats.truncated
 
 
 def obfuscate(req: ObfuscationRequest,
@@ -171,32 +128,18 @@ def obfuscate(req: ObfuscationRequest,
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
 
-    opts = req.options
+    product = dual_marked_product(complete(plant), complete(sup_aut))
     trace: list[SizeTrace] = []
     solver_stats = {"decisions": 0, "conflicts": 0, "propagations": 0,
                     "solves": 0, "models": 0}
     tested_total = 0
     truncated = False
-    n_start = 1
-    if opts.bisect:
-        first = min_preserving_size(plant, sup_aut, constraint, n_max)
-        if first is None:
-            return ObfuscationResult(False, None, None, n_max, 0, trace,
-                                     solver_stats, False)
-        n_start = first
-
-    for n in range(n_start, n_max + 1):
+    for n in range(1, n_max + 1):
         stats = EnumerationStats()
-        seen = set()
         row = SizeTrace(n, 0, 0, 0)
         winner = None  # (canonical key, supervisor)
-        for cand in iter_size_candidates(plant, sup_aut, constraint, n,
-                                         opts.enumeration_limit, stats):
-            key = canonical_key(cand)
-            if opts.dedupe_isomorphic:
-                if key in seen:
-                    continue
-                seen.add(key)
+        for key, cand in iter_size_candidates(product, constraint, n,
+                                              req.enumeration_limit, stats):
             row.candidates += 1
             candidate = Supervisor(cand, constraint)
             row.tested += 1
@@ -207,9 +150,8 @@ def obfuscate(req: ObfuscationRequest,
                 row.resilient += 1
                 if winner is None or key < winner[0]:
                     winner = (key, candidate)
-        if stats.solver is not None:
-            for k in ("decisions", "conflicts", "propagations", "solves"):
-                solver_stats[k] += stats.solver.stats[k]
+        for k in ("decisions", "conflicts", "propagations", "solves"):
+            solver_stats[k] += stats.solver.stats[k]
         solver_stats["models"] += stats.models
         truncated = truncated or stats.truncated
         trace.append(row)

@@ -18,18 +18,11 @@ by the encoder are desk-scale.
 from __future__ import annotations
 
 import heapq
-from typing import Iterable, Optional, Protocol
+from typing import Iterable, Optional
 
 
 class BackendError(RuntimeError):
     """The SAT backend broke its contract (e.g. partial model)."""
-
-
-class SatBackend(Protocol):
-    def reserve(self, num_vars: int) -> None: ...
-    def add_clause(self, lits: Iterable[int]) -> None: ...
-    def solve(self) -> bool: ...
-    def model(self) -> dict[int, bool]: ...
 
 
 _UNSET = 0

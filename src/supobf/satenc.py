@@ -235,10 +235,10 @@ def blocking_clause(model: dict[int, bool], vt: VarTable,
     return out
 
 
-def solve_instance(cnf: CnfInstance, backend: Optional[SatSolver] = None):
-    """Load an instance into a backend (default: the in-tree solver) and
-    return the loaded backend, ready for solve()/blocking."""
-    backend = backend or SatSolver()
+def solve_instance(cnf: CnfInstance) -> SatSolver:
+    """Load an instance into the in-tree solver and return it, ready for
+    solve()/blocking."""
+    backend = SatSolver()
     backend.reserve(cnf.num_vars)
     for cl in cnf.clauses:
         backend.add_clause(cl)

@@ -113,15 +113,21 @@ def all_supervisor_automata(alphabet: S.Alphabet,
 
 def random_alphabet(rng: random.Random, max_events: int = 4,
                     with_attack: bool = False) -> S.Alphabet:
+    # draws follow the order of ``events``, never of a set, so the result
+    # does not depend on PYTHONHASHSEED
     k = rng.randint(1, max_events)
     events = tuple("abcd"[:k])
     observable = frozenset(e for e in events if rng.random() < 0.8)
-    controllable = frozenset(e for e in observable if rng.random() < 0.7)
+    controllable = frozenset(e for e in events
+                             if e in observable and rng.random() < 0.7)
     if with_attack:
-        attacker_observable = frozenset(e for e in observable
-                                        if rng.random() < 0.6)
-        attackable = frozenset(e for e in controllable & attacker_observable
-                               if rng.random() < 0.7)
+        attacker_observable = frozenset(e for e in events
+                                        if e in observable
+                                        and rng.random() < 0.6)
+        attackable = frozenset(e for e in events
+                               if e in controllable
+                               and e in attacker_observable
+                               and rng.random() < 0.7)
     else:
         attacker_observable = frozenset()
         attackable = frozenset()

@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -250,6 +254,42 @@ def test_differential_random_suite():
         assert oracle.attackable == (not verdict.non_attackable), \
             f"oracle={oracle} witness={verdict.witness}"
     assert conclusive >= 60
+
+
+DESCRIBE_INSTANCES = """
+import random
+from conftest import random_attack_instance
+
+def aut(p):
+    marked = None if p.marked is None else sorted(p.marked)
+    return p.names, sorted(p.trans.items()), p.initial, marked
+
+rng = random.Random(4242)
+for _ in range(20):
+    inst = random_attack_instance(rng)
+    if inst is None:
+        print(None)
+        continue
+    plant, sup, damage, attack = inst
+    a = plant.alphabet
+    print(a.events, sorted(a.controllable), sorted(a.observable),
+          sorted(a.attackable), sorted(a.attacker_observable),
+          aut(plant), aut(sup.automaton), aut(damage))
+"""
+
+
+def test_random_instances_independent_of_hash_seed():
+    tests_dir = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests_dir.parent / "src"), str(tests_dir)])
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+        proc = subprocess.run([sys.executable, "-c", DESCRIBE_INSTANCES],
+                              env=env, cwd=tests_dir, capture_output=True,
+                              text=True, timeout=120, check=True)
+        outputs.append(proc.stdout)
+    assert outputs[0].count("\n") == 20
+    assert outputs[0] == outputs[1]
 
 
 def test_verdict_invariant_under_state_renaming(example1, atk, perf):

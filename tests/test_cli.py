@@ -1,7 +1,13 @@
 import json
+from pathlib import Path
 
+import pytest
+
+import supobf as S
 from supobf.cli import main
-from conftest import FIXTURES
+from conftest import FIXTURES, load_fixture
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def fixture(name: str) -> str:
@@ -37,6 +43,19 @@ def test_check_witness_output(capsys):
     assert lines[2] == "(c, {a,b,d})"
     assert lines[3] == "(ε, {b})"
     assert lines[4] == "ATTACK a'"
+
+
+def test_check_dot_renders_the_verdict(tmp_path, capsys):
+    dot = tmp_path / "view.dot"
+    assert main(["check", fixture("atk"), "--dot", str(dot)]) == 1
+    text = dot.read_text(encoding="utf-8")
+    assert text.startswith("digraph")
+    assert "attack: k" in text and "fillcolor=lightcoral" in text
+    pf = load_fixture("atk")
+    gp = S.generalized_product(pf.plant, S.annotate_supervisor(pf.supervisor),
+                               pf.damage, pf.attack)
+    sub = S.determinize_and_label(S.project_attacker_view(gp), gp)
+    assert dot.read_bytes() == S.subset_to_dot(sub, gp).encode("utf-8")
 
 
 def test_closed_loop_emission(capsys, tmp_path):
@@ -104,6 +123,23 @@ def test_obfuscate_json_byte_identical(tmp_path):
     assert main(["obfuscate", fixture("perf"), "--json", str(a)]) == 0
     assert main(["obfuscate", fixture("perf"), "--json", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("name", ["atk", "example1", "example1_obfuscated",
+                                  "perf", "single", "tri"])
+def test_obfuscate_json_matches_golden(name, tmp_path):
+    out = tmp_path / "run.json"
+    main(["obfuscate", fixture(name), "--json", str(out)])
+    assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("limit", ["0", "-1"])
+def test_limit_below_one_is_input_error(limit, capsys):
+    assert main(["obfuscate", fixture("perf"), "--limit", limit]) == 2
+    assert main(["synth-bp", fixture("tri"), "-n", "2", "--limit", limit]) == 2
+    captured = capsys.readouterr()
+    assert "found" not in captured.out and "candidate" not in captured.out
+    assert captured.err.count("error:") == 2
 
 
 def test_unknown_file_is_input_error(capsys):

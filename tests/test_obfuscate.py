@@ -50,22 +50,19 @@ def test_supbp_matches_brute_force(tri, single):
             got, _ = S.behavior_preserving_supervisors(
                 pf.plant, pf.supervisor.automaton, pf.control, n)
             assert {S.canonical_key(c) for c in got} == set(expected)
-            # without the isomorphism dedupe the multiset may only grow
-            raw, _ = S.behavior_preserving_supervisors(
-                pf.plant, pf.supervisor.automaton, pf.control, n,
-                dedupe_isomorphic=False)
-            assert {S.canonical_key(c) for c in raw} == set(expected)
-            assert len(raw) >= len(got)
+            # one supervisor per isomorphism class
+            assert len(got) == len(expected)
 
 
-def test_supbp_output_sorted_and_duplicate_free(tri):
-    sups, _ = S.behavior_preserving_supervisors(
-        tri.plant, tri.supervisor.automaton, tri.control, 2,
-        dedupe_isomorphic=False)
-    keys = [S.canonical_key(c) for c in sups]
-    assert keys == sorted(keys)
-    labeled = [tuple(sorted(c.trans.items())) for c in sups]
-    assert len(set(labeled)) == len(labeled)
+def test_supbp_output_sorted_and_duplicate_free(tri, perf):
+    for pf in (tri, perf):
+        sups, _ = S.behavior_preserving_supervisors(
+            pf.plant, pf.supervisor.automaton, pf.control, 2)
+        keys = [S.canonical_key(c) for c in sups]
+        assert keys == sorted(keys)
+        assert len(set(keys)) == len(keys)
+        labeled = [tuple(sorted(c.trans.items())) for c in sups]
+        assert len(set(labeled)) == len(labeled)
 
 
 def test_supbp_enumeration_limit(tri):
@@ -75,24 +72,30 @@ def test_supbp_enumeration_limit(tri):
     assert len(sups) <= 1
 
 
+def min_preserving_size(pf, n_max):
+    """First size in [1, n_max] with a behavior-preserving supervisor."""
+    for n in range(1, n_max + 1):
+        sups, _ = S.behavior_preserving_supervisors(
+            pf.plant, pf.supervisor.automaton, pf.control, n, limit=1)
+        if sups:
+            return n
+    return None
+
+
+def first_traced_size(pf, n_max):
+    """First size with candidates in the trace of ``obfuscate``."""
+    req = S.ObfuscationRequest(pf.plant, pf.supervisor, pf.control,
+                               pf.attack, pf.damage, n_max=n_max)
+    return next(r.n for r in S.obfuscate(req).trace if r.candidates)
+
+
 def test_min_preserving_size(tri, single):
-    assert S.min_preserving_size(tri.plant, tri.supervisor.automaton,
-                                 tri.control, 4) == 2
-    assert S.min_preserving_size(single.plant, single.supervisor.automaton,
-                                 single.control, 3) == 1
+    assert first_traced_size(tri, 4) == 2
+    assert first_traced_size(single, 3) == 1
 
 
 def test_min_preserving_size_matches_linear_scan(perf):
-    by_bisect = S.min_preserving_size(perf.plant, perf.supervisor.automaton,
-                                      perf.control, 6)
-    linear = None
-    for n in range(1, 7):
-        sups, _ = S.behavior_preserving_supervisors(
-            perf.plant, perf.supervisor.automaton, perf.control, n, limit=1)
-        if sups:
-            linear = n
-            break
-    assert by_bisect == linear == 2
+    assert first_traced_size(perf, 6) == min_preserving_size(perf, 6) == 2
 
 
 def test_obfuscate_example1(example1):
@@ -134,20 +137,6 @@ def test_obfuscate_not_found(atk):
     assert res.trace[1].candidates > 0  # plenty of candidates, all attackable
 
 
-def test_obfuscate_bisect_matches_linear(perf):
-    base = S.ObfuscationRequest(perf.plant, perf.supervisor, perf.control,
-                                perf.attack, perf.damage)
-    res_linear = S.obfuscate(base)
-    fast = S.ObfuscationRequest(perf.plant, perf.supervisor, perf.control,
-                                perf.attack, perf.damage,
-                                options=S.ObfuscationOptions(bisect=True))
-    res_bisect = S.obfuscate(fast)
-    assert res_linear.found and res_bisect.found
-    assert res_linear.size == res_bisect.size
-    assert res_linear.supervisor.automaton.trans == \
-        res_bisect.supervisor.automaton.trans
-
-
 def test_obfuscate_deterministic(perf):
     def run():
         req = S.ObfuscationRequest(perf.plant, perf.supervisor, perf.control,
@@ -180,6 +169,19 @@ def test_obfuscate_minimality_brute_force(perf, example1):
                                            pf.damage, pf.attack,
                                            validate=False)
                 assert not verdict.non_attackable
+
+
+def test_limit_below_one_rejected(tri, perf):
+    for limit in (0, -1):
+        with pytest.raises(ValueError):
+            S.behavior_preserving_supervisors(
+                tri.plant, tri.supervisor.automaton, tri.control, 2,
+                limit=limit)
+        req = S.ObfuscationRequest(perf.plant, perf.supervisor, perf.control,
+                                   perf.attack, perf.damage,
+                                   enumeration_limit=limit)
+        with pytest.raises(ValueError):
+            S.obfuscate(req)
 
 
 def test_obfuscate_rejects_invalid_damage(atk):

@@ -90,15 +90,18 @@ def cmd_check(args) -> int:
 
 def cmd_synth_bp(args) -> int:
     pf = _load(args)
+    # enumerate first: an input error then leaves no DIMACS file behind
+    sups, truncated = behavior_preserving_supervisors(
+        pf.plant, pf.supervisor.automaton, pf.control, args.n,
+        limit=args.limit)
     if args.dimacs:
         product = dual_marked_product(complete(pf.plant),
                                       complete(pf.supervisor.automaton))
         cnf, vt = encode(args.n, product, pf.control)
+        # the plain size-n encoding: every row usable
+        cnf.extend([v] for _, v in vt.iter_activation_vars())
         with open(args.dimacs, "w", encoding="utf-8") as fh:
             fh.write(export_dimacs(cnf, vt))
-    sups, truncated = behavior_preserving_supervisors(
-        pf.plant, pf.supervisor.automaton, pf.control, args.n,
-        limit=args.limit)
     print(f"# {len(sups)} behavior-preserving supervisor(s) of size {args.n}"
           + (" (truncated)" if truncated else ""))
     for i, sup in enumerate(sups):

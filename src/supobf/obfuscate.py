@@ -6,6 +6,21 @@ with blocking clauses over the reachable transition function), runs the
 non-attackability check on each, and returns the canonically smallest
 resilient candidate at the first size that has one.  Exhausting every
 smaller size is what makes the returned supervisor minimum-state.
+
+The SAT instance grows with the climb.  Size 1 gets an instance of one
+row; a size past the loaded instance gets a new one of ``min(n_max,
+2n - 1)`` rows, which covers as many sizes again as the climb has already
+passed (sizes 1, 2-3, 4-7, ...).  Each size of an instance is an
+assumption set over the encoding's row-activation literals, so learned
+clauses carry over between the sizes that share it.  A call thus encodes
+about log2(n_max) instances, none with more than twice the rows of the
+size it stops at; a single instance at ``n_max`` would cost far more than
+an encoding per size when the minimum is far below ``n_max``.
+
+Blocking clauses stay in the solver across the sizes of an instance.
+That is sound: a blocked reachable transition function reaches the same
+rows at every later size, and it was yielded, or skipped as smaller, at
+its own size.
 """
 
 from __future__ import annotations
@@ -13,13 +28,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
-from .automata import (DualMarkedDFA, PartialDFA, canonical_key, complete,
+from .automata import (PartialDFA, canonical_key, complete,
                        dual_marked_product, reachable_states)
 from .control import (AttackConstraint, ControlConstraint, Supervisor,
                       closed_loop, validate_damage)
 from .attack import non_attackable
 from .sat import SatSolver
-from .satenc import blocking_clause, decode_model, encode, solve_instance
+from .satenc import (VarTable, blocking_clause, decode_model, encode,
+                     size_assumptions, solve_instance)
 
 
 @dataclass
@@ -57,32 +73,30 @@ class ObfuscationResult:
 class EnumerationStats:
     models: int = 0
     truncated: bool = False
-    solver: Optional[SatSolver] = None
 
 
-def iter_size_candidates(product: DualMarkedDFA, constraint: ControlConstraint,
-                         n: int, limit: Optional[int] = None,
+def iter_size_candidates(backend: SatSolver, vt: VarTable, n: int,
+                         limit: Optional[int] = None,
                          stats: Optional[EnumerationStats] = None
                          ) -> Iterator[tuple[tuple, PartialDFA]]:
     """Stream ``(canonical key, supervisor)`` for the behavior-preserving
-    supervisors of exact reachable size ``n`` over the dual-marked
-    ``product``, one per isomorphism class, in solver order.
+    supervisors of exact reachable size ``n``, one per isomorphism class,
+    in solver order, from ``backend`` loaded with an encoding of at least
+    ``n`` rows whose numbering is ``vt``.
 
-    Every model is blocked on its reachable transition function before
-    re-solving; models whose reachable part is smaller than ``n`` are
-    blocked but not yielded (they were enumerated at their own size).
-    ``limit`` caps the number of SAT models taken from the solver and
-    must be at least 1.
+    Every solve runs under ``size_assumptions(vt, n)``.  Every model is
+    blocked on its reachable transition function before re-solving;
+    models whose reachable part is smaller than ``n`` are blocked but not
+    yielded (they were enumerated at their own size).  ``limit`` caps the
+    number of SAT models taken from the solver and must be at least 1.
     """
     if limit is not None and limit < 1:
         raise ValueError("the enumeration limit must be at least 1")
     if stats is None:
         stats = EnumerationStats()
-    cnf, vt = encode(n, product, constraint)
-    backend = solve_instance(cnf)
-    stats.solver = backend
+    assumptions = size_assumptions(vt, n)
     seen = set()
-    while backend.solve():
+    while backend.solve(assumptions):
         stats.models += 1
         model = backend.model()
         decoded = decode_model(model, vt)
@@ -105,9 +119,16 @@ def behavior_preserving_supervisors(plant: PartialDFA, sup_aut: PartialDFA,
     truncated)."""
     stats = EnumerationStats()
     product = dual_marked_product(complete(plant), complete(sup_aut))
-    found = sorted(iter_size_candidates(product, constraint, n, limit, stats),
+    cnf, vt = encode(n, product, constraint)
+    found = sorted(iter_size_candidates(solve_instance(cnf), vt, n, limit,
+                                        stats),
                    key=lambda kc: kc[0])
     return [c for _, c in found], stats.truncated
+
+
+def _add_solver_stats(total: dict, backend: SatSolver) -> None:
+    for k in ("decisions", "conflicts", "propagations", "solves"):
+        total[k] += backend.stats[k]
 
 
 def obfuscate(req: ObfuscationRequest,
@@ -134,11 +155,18 @@ def obfuscate(req: ObfuscationRequest,
                     "solves": 0, "models": 0}
     tested_total = 0
     truncated = False
+    winner = None  # (canonical key, supervisor)
+    backend, rows = None, 0  # the loaded instance and its row count
     for n in range(1, n_max + 1):
+        if n > rows:
+            if backend is not None:
+                _add_solver_stats(solver_stats, backend)
+            rows = min(n_max, 2 * n - 1)
+            cnf, vt = encode(rows, product, constraint)
+            backend = solve_instance(cnf)
         stats = EnumerationStats()
         row = SizeTrace(n, 0, 0, 0)
-        winner = None  # (canonical key, supervisor)
-        for key, cand in iter_size_candidates(product, constraint, n,
+        for key, cand in iter_size_candidates(backend, vt, n,
                                               req.enumeration_limit, stats):
             row.candidates += 1
             candidate = Supervisor(cand, constraint)
@@ -150,15 +178,16 @@ def obfuscate(req: ObfuscationRequest,
                 row.resilient += 1
                 if winner is None or key < winner[0]:
                     winner = (key, candidate)
-        for k in ("decisions", "conflicts", "propagations", "solves"):
-            solver_stats[k] += stats.solver.stats[k]
         solver_stats["models"] += stats.models
         truncated = truncated or stats.truncated
         trace.append(row)
         if progress is not None:
             progress(row)
         if winner is not None:
-            return ObfuscationResult(True, winner[1], n, n_max, tested_total,
-                                     trace, solver_stats, truncated)
-    return ObfuscationResult(False, None, None, n_max, tested_total, trace,
-                             solver_stats, truncated)
+            break
+    _add_solver_stats(solver_stats, backend)
+    if winner is None:
+        return ObfuscationResult(False, None, None, n_max, tested_total, trace,
+                                 solver_stats, truncated)
+    return ObfuscationResult(True, winner[1], trace[-1].n, n_max, tested_total,
+                             trace, solver_stats, truncated)

@@ -48,8 +48,11 @@ _AUTOMATON_SECTIONS = ("plant", "supervisor", "damage")
 
 
 class ParseError(ValueError):
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
+    """Input error at ``line``, or in the file as a whole when ``line`` is
+    None (a missing section)."""
+
+    def __init__(self, line: Optional[int], message: str):
+        super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
 
 
@@ -95,7 +98,7 @@ def _split_sections(text: str) -> dict[str, list[tuple[int, list[str]]]]:
 
 def _event_list(sections, name, alphabet_events=None) -> list[str]:
     if name not in sections:
-        raise ParseError(0, f"missing section [{name}]")
+        raise ParseError(None, f"missing section [{name}]")
     events = [tok for _, toks in sections[name] for tok in toks]
     if alphabet_events is not None:
         for no, toks in sections[name]:
@@ -107,7 +110,7 @@ def _event_list(sections, name, alphabet_events=None) -> list[str]:
 
 def _parse_automaton(sections, name: str, alphabet: Alphabet) -> PartialDFA:
     if name not in sections:
-        raise ParseError(0, f"missing section [{name}]")
+        raise ParseError(None, f"missing section [{name}]")
     lines = sections[name]
     states: Optional[list[str]] = None
     initial: Optional[str] = None
@@ -194,7 +197,7 @@ def parse_problem(text: str, repair_selfloops: bool = False) -> ProblemFile:
                                             set(events)),
         )
     except AutomatonError as exc:
-        raise ParseError(sections["alphabet"][0][0] if sections["alphabet"] else 0,
+        raise ParseError(sections["alphabet"][0][0] if sections["alphabet"] else None,
                          str(exc)) from exc
 
     plant = _parse_automaton(sections, "plant", alphabet)

@@ -4,10 +4,22 @@ The backend contract expected by the encoding layer:
 
 * ``add_clause(lits)``: clauses may be added at any time, including after
   a satisfiable ``solve()`` (blocking clauses for model enumeration);
-* ``solve()``: returns True/False; on True, ``model()`` yields a total
-  assignment over every variable mentioned so far;
-* runs are deterministic: identical clause sequences produce identical
-  models and statistics.
+* ``solve(assumptions=())``: returns True/False.  The assumptions are
+  literals that hold for this call only (MiniSat style, Eén & Sörensson,
+  "An Extensible SAT-solver", SAT 2003): each one takes its own decision
+  level, in order, before any free decision, and a level whose literal is
+  already true adds no assignment.  False under assumptions leaves the
+  solver usable: only a conflict without assumptions makes it
+  permanently unsatisfiable.  Learned and added clauses stay in the
+  solver from one call to the next.  The assumption levels of a call
+  stay on the trail after it: a clause added next keeps them when two of
+  its literals are not false there, and the next call reuses those of
+  its leading assumptions that match, so blocking models one by one
+  under a fixed assumption set does not re-propagate the set each time.
+  On True, ``model()`` yields a total assignment over every variable
+  mentioned so far;
+* runs are deterministic: identical clause and assumption sequences
+  produce identical models and statistics.
 
 Conflict analysis is first-UIP with activity-based branching (decayed
 scores, lowest index wins ties) and false-first polarity.  There are no
@@ -47,6 +59,7 @@ class SatSolver:
         self._trail_lim: list[int] = []
         self._qhead = 0
         self._unsat = False
+        self._assumed: list[int] = []  # assumptions of the last solve()
         self.stats = {"decisions": 0, "conflicts": 0, "propagations": 0,
                       "solves": 0}
 
@@ -88,7 +101,9 @@ class SatSolver:
 
     def add_clause(self, lits: Iterable[int]) -> None:
         """Add a clause; call between solves to block models incrementally."""
-        self._backtrack(0)
+        # drop the free decisions; the levels of the last call's
+        # assumptions stay (decision level k holds assumption k - 1)
+        self._backtrack(len(self._assumed))
         seen = set()
         clause = []
         for lit in lits:
@@ -109,15 +124,27 @@ class SatSolver:
         if not clause:
             self._unsat = True
             return
-        if len(clause) == 1:
-            if self._lit_value(clause[0]) == _FALSE:
-                self._unsat = True
-            elif self._lit_value(clause[0]) == _UNSET:
-                self._assign(clause[0], None)
-                if self._propagate() is not None:
-                    self._unsat = True
+        if len(clause) > 1:
+            if self._trail_lim:
+                # watch two literals that are not false on the kept
+                # assumption levels; without two, add the clause at the root
+                free = [k for k, lit in enumerate(clause)
+                        if self._lit_value(lit) != _FALSE]
+                if len(free) < 2:
+                    self._backtrack(0)
+                elif free[:2] != [0, 1]:
+                    a, b = free[:2]
+                    clause = ([clause[a], clause[b]]
+                              + [l for k, l in enumerate(clause)
+                                 if k not in (a, b)])
+            self._attach(clause)
             return
-        self._attach(clause)
+        # a unit clause holds from the root on; its literal is unassigned
+        # there, since root values were folded in above
+        self._backtrack(0)
+        self._assign(clause[0], None)
+        if self._propagate() is not None:
+            self._unsat = True
 
     def _attach(self, clause: list[int]) -> int:
         idx = len(self.clauses)
@@ -232,12 +259,26 @@ class SatSolver:
                 return v
         return None
 
-    def solve(self) -> bool:
+    def solve(self, assumptions: Iterable[int] = ()) -> bool:
+        """Search for a model in which every literal of ``assumptions``
+        holds; see the module docstring for the contract."""
+        assumptions = list(assumptions)
+        for lit in assumptions:
+            if lit == 0 or not isinstance(lit, int):
+                raise ValueError(f"bad literal {lit!r}")
+            self._ensure_var(abs(lit))
         self.stats["solves"] += 1
         if self._unsat:
             return False
-        self._backtrack(0)
-        if self._propagate() is not None:
+        # keep the levels of the last call's assumptions that start this
+        # call's list too; they are still fully propagated
+        keep = 0
+        limit = min(len(self._trail_lim), len(self._assumed), len(assumptions))
+        while keep < limit and assumptions[keep] == self._assumed[keep]:
+            keep += 1
+        self._backtrack(keep)
+        self._assumed = assumptions
+        if not self._trail_lim and self._propagate() is not None:
             self._unsat = True
             return False
         while True:
@@ -254,6 +295,16 @@ class SatSolver:
                     ci = self._attach(learned)
                     self._assign(learned[0], ci)
                 self._act_inc *= _ACT_DECAY
+                continue
+            level = len(self._trail_lim)
+            if level < len(assumptions):
+                lit = assumptions[level]
+                val = self._lit_value(lit)
+                if val == _FALSE:
+                    return False  # the assumptions contradict the clauses
+                self._trail_lim.append(len(self._trail))
+                if val == _UNSET:
+                    self._assign(lit, None)
                 continue
             v = self._pick_variable()
             if v is None:

@@ -15,6 +15,15 @@ Variables:
 * reachability variables ``r(i, y)``: lower bounds on reachability of the
   pair (candidate state ``i``, product state ``y``) in the synchronization
   of the candidate's completion with the product.
+* row-activation variables ``u(j)`` for rows ``1 <= j < n``: "row ``j``
+  is usable".  Row 0 is always live; without an observable event no
+  other row is reachable and none are allocated.  Solving under
+  ``size_assumptions(vt, m)`` restricts one ``n``-row instance to the
+  rows ``0..m-1``, so several sizes of a climb share one solver.  Left
+  free, ``u(j) = true`` satisfies every clause that mentions it, so the
+  instance's projection onto the ``t`` and ``r`` variables is that of
+  the plain encoding; fixing every ``u(j)`` true gives its models
+  exactly.
 
 Clause groups:
 
@@ -23,7 +32,10 @@ Clause groups:
 * controllability clauses: uncontrollable observable events must have a
   non-dump successor;
 * separation clauses: reachability propagation from the initial pair,
-  no dump row on A-marked product states, no live row on B-marked ones.
+  no dump row on A-marked product states, no live row on B-marked ones;
+* activation clauses: a disabled row has no reachable pair
+  (``¬r(j, y) ∨ u(j)``) and only self-loops (``u(j) ∨ t(j, e, j)``), so
+  ``¬u(j)`` fixes the row by propagation alone.
 """
 
 from __future__ import annotations
@@ -58,7 +70,8 @@ class VarTable:
 
     Transition variables are allocated first (row, then alphabet order,
     then successor), reachability variables after (row, then product-state
-    order), so emitted DIMACS files are reproducible.
+    order), row-activation variables last (row order), so emitted DIMACS
+    files are reproducible.
     """
 
     def __init__(self, n: int, alphabet, constraint: ControlConstraint,
@@ -82,6 +95,11 @@ class VarTable:
                     nxt += 1
         self._r_base = nxt
         nxt += (n + 1) * num_product_states
+        # u(j) for rows 1..n-1; without an observable event no row past 0
+        # is reachable, and the table allocates none
+        self._u_base = nxt - 1
+        self._u_rows = n - 1 if self.observable else 0
+        nxt += self._u_rows
         self.num_vars = nxt - 1
 
     def trans_var(self, i: int, event: str, j: int) -> Union[int, bool]:
@@ -98,6 +116,11 @@ class VarTable:
             raise AutomatonError(f"r({i},{y}) out of range")
         return self._r_base + i * self.num_product_states + y
 
+    def activation_var(self, j: int) -> int:
+        if not 1 <= j <= self._u_rows:
+            raise AutomatonError(f"u({j}) out of range")
+        return self._u_base + j
+
     def iter_trans_vars(self):
         for (i, e, j), v in self._t.items():
             yield i, e, j, v
@@ -106,6 +129,18 @@ class VarTable:
         for i in range(self.n + 1):
             for y in range(self.num_product_states):
                 yield i, y, self.reach_var(i, y)
+
+    def iter_activation_vars(self):
+        for j in range(1, self._u_rows + 1):
+            yield j, self.activation_var(j)
+
+
+def size_assumptions(vt: VarTable, n: int) -> list[int]:
+    """Assumptions that restrict the instance to rows ``0..n-1``:
+    ``u(j)`` for ``j < n`` and ``¬u(j)`` for ``j >= n``."""
+    if not 1 <= n <= vt.n:
+        raise AutomatonError(f"size {n} outside 1..{vt.n}")
+    return [v if j < n else -v for j, v in vt.iter_activation_vars()]
 
 
 def transition_function_clauses(vt: VarTable) -> list[Clause]:
@@ -166,15 +201,29 @@ def separation_clauses(vt: VarTable, product: DualMarkedDFA) -> list[Clause]:
     return out
 
 
+def activation_clauses(vt: VarTable) -> list[Clause]:
+    """For every row ``j >= 1``: ``¬r(j, y) ∨ u(j)`` for each product state
+    and ``u(j) ∨ t(j, e, j)`` for each observable event."""
+    out = []
+    for j, u in vt.iter_activation_vars():
+        for y in range(vt.num_product_states):
+            out.append([-vt.reach_var(j, y), u])
+        for e in vt.observable:
+            out.append([u, vt.trans_var(j, e, j)])
+    return out
+
+
 def encode(n: int, product: DualMarkedDFA,
            constraint: ControlConstraint) -> tuple[CnfInstance, VarTable]:
     """Full instance: satisfiable iff an ``n``-bounded behavior-preserving
-    supervisor over ``constraint`` exists."""
+    supervisor over ``constraint`` exists; under ``size_assumptions(vt, m)``
+    iff an ``m``-bounded one exists."""
     vt = VarTable(n, product.alphabet, constraint, product.n_states)
     cnf = CnfInstance(vt.num_vars)
     cnf.extend(transition_function_clauses(vt))
     cnf.extend(controllability_clauses(vt))
     cnf.extend(separation_clauses(vt, product))
+    cnf.extend(activation_clauses(vt))
     return cnf, vt
 
 
@@ -247,13 +296,16 @@ def solve_instance(cnf: CnfInstance) -> SatSolver:
 
 def export_dimacs(cnf: CnfInstance, vt: Optional[VarTable] = None) -> str:
     """Standard DIMACS text; with a variable table, one comment line per
-    allocated variable (``c t <row> <event> <row>`` / ``c r <row> <y>``)."""
+    allocated variable (``c t <row> <event> <row>`` / ``c r <row> <y>`` /
+    ``c u <row>``)."""
     lines = []
     if vt is not None:
         for i, e, j, v in vt.iter_trans_vars():
             lines.append(f"c t {i} {e} {j} = {v}")
         for i, y, v in vt.iter_reach_vars():
             lines.append(f"c r {i} {y} = {v}")
+        for j, v in vt.iter_activation_vars():
+            lines.append(f"c u {j} = {v}")
     lines.append(f"p cnf {cnf.num_vars} {len(cnf.clauses)}")
     for cl in cnf.clauses:
         lines.append(" ".join(str(l) for l in cl) + " 0")

@@ -76,6 +76,9 @@ def test_synth_bp_lists_candidates(capsys, tmp_path):
     text = dimacs.read_text()
     assert text.splitlines()[0].startswith("c t 0 a 0 = ")
     assert "p cnf" in text
+    # the activation literal of row 1 is fixed true in the export
+    u1 = next(l for l in text.splitlines() if l.startswith("c u 1 = "))
+    assert f"\n{u1.split()[-1]} 0\n" in text
 
 
 def test_oracle_exit_codes(capsys):
@@ -157,3 +160,19 @@ def test_repair_selfloops_flag(tmp_path):
     broken.write_text(text)
     assert main(["validate", str(broken)]) == 2
     assert main(["--repair-selfloops", "validate", str(broken)]) == 0
+
+
+def test_synth_bp_input_error_writes_no_dimacs(tmp_path, capsys):
+    dimacs = tmp_path / "out.cnf"
+    assert main(["synth-bp", fixture("tri"), "-n", "2", "--limit", "0",
+                 "--dimacs", str(dimacs)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not dimacs.exists()
+
+
+def test_missing_section_reported_without_line(tmp_path, capsys):
+    text = (FIXTURES / "tri.prob").read_text()
+    broken = tmp_path / "broken.prob"
+    broken.write_text(text[:text.index("[damage]")])
+    assert main(["validate", str(broken)]) == 2
+    assert capsys.readouterr().err == "error: missing section [damage]\n"

@@ -1,3 +1,4 @@
+import importlib
 import random
 
 import pytest
@@ -222,3 +223,60 @@ def test_obfuscate_randomized_minimality():
                                            damage, attack, validate=False)
                 assert not verdict.non_attackable
         done += 1
+
+
+def test_shared_climb_matches_fresh_encodings():
+    # one instance encoded at n_max and climbed by assumptions, blocking
+    # clauses kept across sizes, yields the same classes at every size as
+    # a fresh encoding of that size
+    from supobf.obfuscate import EnumerationStats, iter_size_candidates
+    rng = random.Random(1618)
+    n_max, limit = 3, 60
+    compared = 0
+    for _ in range(40):
+        inst = random_attack_instance(rng, max_states=3)
+        if inst is None:
+            continue
+        plant, sup, _, _ = inst
+        constraint = sup.constraint
+        product = S.dual_marked_product(S.complete(plant),
+                                        S.complete(sup.automaton))
+        cnf, vt = S.encode(n_max, product, constraint)
+        backend = S.solve_instance(cnf)
+        for n in range(1, n_max + 1):
+            stats = EnumerationStats()
+            shared = {key for key, _ in iter_size_candidates(
+                backend, vt, n, limit, stats)}
+            fresh, truncated = S.behavior_preserving_supervisors(
+                plant, sup.automaton, constraint, n, limit)
+            if stats.truncated or truncated:
+                continue
+            assert shared == {S.canonical_key(c) for c in fresh}
+            compared += 1
+    assert compared >= 60
+
+
+@pytest.mark.parametrize("name, n_max, rows", [
+    ("example1", None, [1]),      # minimum 1, n_max 5
+    ("example1", 8, [1]),
+    ("tri", 8, [1, 3]),           # minimum 2
+    ("perf", None, [1, 3]),       # minimum 2, n_max 6
+    ("atk", None, [1, 2]),        # not found, n_max 2
+])
+def test_instance_grows_with_the_climb(monkeypatch, name, n_max, rows):
+    # each encoding covers min(n_max, 2n - 1) rows, so a minimum far
+    # below n_max never pays for an n_max-row instance
+    from conftest import load_fixture
+    # the package re-exports the function obfuscate under the module's name
+    module = importlib.import_module("supobf.obfuscate")
+    encoded = []
+
+    def recording_encode(n, product, constraint):
+        encoded.append(n)
+        return S.encode(n, product, constraint)
+
+    monkeypatch.setattr(module, "encode", recording_encode)
+    pf = load_fixture(name)
+    S.obfuscate(S.ObfuscationRequest(pf.plant, pf.supervisor, pf.control,
+                                     pf.attack, pf.damage, n_max=n_max))
+    assert encoded == rows

@@ -138,3 +138,15 @@ def test_with_supervisor_emission(example1):
     verdict = S.non_attackable(back.plant, back.supervisor, back.damage,
                                back.attack)
     assert verdict.non_attackable
+
+
+@pytest.mark.parametrize("section", ["attackable", "damage"])
+def test_missing_section_has_no_line(section):
+    lines = MINIMAL.splitlines()
+    start = lines.index(f"[{section}]")
+    end = next((k for k in range(start + 1, len(lines))
+                if lines[k].startswith("[")), len(lines))
+    with pytest.raises(ParseError) as err:
+        parse_problem("\n".join(lines[:start] + lines[end:]))
+    assert str(err.value) == f"missing section [{section}]"
+    assert err.value.line is None

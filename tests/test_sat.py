@@ -136,3 +136,159 @@ def test_bad_literal_rejected():
     s = SatSolver()
     with pytest.raises(ValueError):
         s.add_clause([0])
+
+
+def random_cnf(rng, max_vars, max_clauses):
+    num_vars = rng.randint(1, max_vars)
+    clauses = [[rng.choice([1, -1]) * rng.randint(1, num_vars)
+                for _ in range(rng.randint(1, 3))]
+               for _ in range(rng.randint(0, max_clauses))]
+    return num_vars, clauses
+
+
+def random_assumptions(rng, num_vars):
+    return [rng.choice([1, -1]) * rng.randint(1, num_vars)
+            for _ in range(rng.randint(0, num_vars))]
+
+
+def consistent(model_true, assumptions):
+    return all((abs(l) in model_true) == (l > 0) for l in assumptions)
+
+
+def test_assumptions_against_brute_force():
+    rng = random.Random(7)
+    for _ in range(80):
+        num_vars, clauses = random_cnf(rng, 6, 14)
+        expected = brute_force_sat(num_vars, clauses)
+        s = SatSolver()
+        s.reserve(num_vars)
+        for cl in clauses:
+            s.add_clause(cl)
+        # several calls on one solver: learned clauses carry over
+        for _ in range(6):
+            assumptions = random_assumptions(rng, num_vars)
+            want = any(consistent(m, assumptions) for m in expected)
+            assert s.solve(assumptions) == want
+            if want:
+                model = s.model()
+                assert check_model(model, clauses)
+                assert all(model[abs(l)] == (l > 0) for l in assumptions)
+        assert s.solve() == bool(expected)
+
+
+def test_failed_assumption_keeps_solver_usable():
+    s = SatSolver()
+    s.add_clause([-1, 2])
+    s.add_clause([-2, 3])
+    assert not s.solve([1, -3])
+    assert s.solve()
+    assert s.solve([1])
+    model = s.model()
+    assert model[1] and model[2] and model[3]
+    assert not s.solve([-3, 1])
+    assert s.solve([-3])
+    assert not s.model()[1]
+
+
+def test_assumption_falsified_at_root():
+    s = SatSolver()
+    s.add_clause([1, 2])
+    s.add_clause([-3])
+    assert not s.solve([2, 3])
+    assert not s.solve([1, -1])  # contradictory assumptions
+    assert s.solve([-1])
+    model = s.model()
+    assert model[2] and not model[3]
+    assert s.solve()
+
+
+def test_clauses_added_between_solves_under_assumptions():
+    # a clause added after a solve keeps the assumption levels on the
+    # trail when it can, and the next call reuses the shared prefix of
+    # its assumptions; every answer must still match brute force
+    rng = random.Random(2003)
+    for _ in range(120):
+        num_vars, clauses = random_cnf(rng, 6, 10)
+        s = SatSolver()
+        s.reserve(num_vars)
+        for cl in clauses:
+            s.add_clause(cl)
+        assumptions = random_assumptions(rng, num_vars)
+        for _ in range(8):
+            roll = rng.random()
+            if roll < 0.3:
+                assumptions = random_assumptions(rng, num_vars)
+            elif roll < 0.6:  # same prefix, new tail
+                cut = rng.randint(0, len(assumptions))
+                assumptions = (assumptions[:cut]
+                               + random_assumptions(rng, num_vars)[:2])
+            expected = brute_force_sat(num_vars, clauses)
+            want = any(consistent(m, assumptions) for m in expected)
+            assert s.solve(assumptions) == want
+            if want:
+                model = s.model()
+                assert check_model(model, clauses)
+                assert all(model[abs(l)] == (l > 0) for l in assumptions)
+            roll = rng.random()
+            if want and roll < 0.4:  # block the model
+                clause = [-v if model[v] else v for v in model]
+            elif roll < 0.6:
+                clause = [rng.choice([1, -1]) * rng.randint(1, num_vars)]
+            else:
+                clause = [rng.choice([1, -1]) * rng.randint(1, num_vars)
+                          for _ in range(rng.randint(2, 3))]
+            clauses.append(clause)
+            s.add_clause(clause)
+        assert s.solve() == bool(brute_force_sat(num_vars, clauses))
+
+
+def test_blocking_keeps_the_assumption_levels():
+    # assumption 1 implies 2..41; after a blocking clause over the free
+    # variables 42 and 43, the next call under the same assumption does
+    # not propagate the implications again
+    s = SatSolver()
+    for v in range(2, 42):
+        s.add_clause([-1, v])
+    s.reserve(43)
+    assert s.solve([1])
+    first = s.stats["propagations"]
+    assert first >= 40
+    model = s.model()
+    s.add_clause([-v if model[v] else v for v in (42, 43)])
+    assert s.solve([1])
+    assert s.stats["propagations"] - first < 5
+    model = s.model()
+    assert all(model[v] for v in range(1, 42))
+    assert model[42] or model[43]
+
+
+def test_blocking_enumeration_across_assumption_sets():
+    # round-robin over assumption sets with global blocking clauses, the
+    # way a size climb shares one solver: every model of every set is
+    # found exactly once
+    rng = random.Random(43)
+    for _ in range(40):
+        num_vars, clauses = random_cnf(rng, 5, 8)
+        expected = brute_force_sat(num_vars, clauses)
+        sets = [random_assumptions(rng, num_vars) for _ in range(3)]
+        s = SatSolver()
+        s.reserve(num_vars)
+        for cl in clauses:
+            s.add_clause(cl)
+        found = set()
+        live = list(sets)
+        k = 0
+        while live:
+            assumptions = live[k % len(live)]
+            if not s.solve(assumptions):
+                live.remove(assumptions)
+                continue
+            model = s.model()
+            key = frozenset(v for v, b in model.items() if b)
+            assert key not in found, "enumeration repeated a model"
+            assert consistent(key, assumptions)
+            found.add(key)
+            s.add_clause([-v if model[v] else v for v in model])
+            k += 1
+        assert found == {m for m in expected
+                         if any(consistent(m, a) for a in sets)}

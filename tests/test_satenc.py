@@ -393,3 +393,25 @@ def test_parse_dimacs_rejects_bad_header():
         S.parse_dimacs("p dnf 1 1\n1 0\n")
     with pytest.raises(ValueError):
         S.parse_dimacs("p cnf 1 2\n1 0\n")
+
+
+def test_activation_literals_restrict_the_size(tri):
+    prod = product_of(tri)
+    cnf, vt = S.encode(3, prod, tri.control)
+    u1, u2 = vt.activation_var(1), vt.activation_var(2)
+    # allocated after every transition and reachability variable
+    assert [u1, u2] == [cnf.num_vars - 1, cnf.num_vars]
+    assert S.size_assumptions(vt, 1) == [-u1, -u2]
+    assert S.size_assumptions(vt, 2) == [u1, -u2]
+    assert S.size_assumptions(vt, 3) == [u1, u2]
+    text = S.export_dimacs(cnf, vt)
+    assert f"c u 1 = {u1}\nc u 2 = {u2}\n" in text
+    backend = S.solve_instance(cnf)
+    # tri needs two states: unsatisfiable at size 1 only
+    assert not backend.solve(S.size_assumptions(vt, 1))
+    assert backend.solve(S.size_assumptions(vt, 2))
+    decoded = S.decode_model(backend.model(), vt)
+    assert set(decoded.rows) <= {0, 1}
+    for y in range(prod.n_states):
+        assert not backend.model()[vt.reach_var(2, y)]
+    assert backend.solve()

@@ -15,11 +15,10 @@ all and are handled by epsilon closure.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .automata import AutomatonError, PartialDFA, is_total
+from .automata import AutomatonError, PartialDFA, explore, is_total
 from .control import (AttackConstraint, Supervisor, closed_loop,
                       control_command, validate_damage)
 
@@ -29,13 +28,11 @@ ObsEvent = tuple[Optional[str], Command]   # (seen event or None, command)
 
 @dataclass(frozen=True)
 class AnnotatedSupervisor:
-    """Supervisor with observable transitions tagged by the command of the
-    destination state; unobservable transitions stay bare self-loops."""
+    """Supervisor with the control command it issues in each state; an
+    observable transition into ``x`` shows the attacker ``commands[x]``."""
 
     supervisor: Supervisor
     commands: tuple[Command, ...]              # per state
-    obs_trans: dict                            # (x, event) -> (x', command)
-    uo_trans: dict                             # (x, event) -> x'
 
     @property
     def n_states(self) -> int:
@@ -43,17 +40,9 @@ class AnnotatedSupervisor:
 
 
 def annotate_supervisor(s: Supervisor) -> AnnotatedSupervisor:
-    aut = s.automaton
     commands = tuple(tuple(sorted(control_command(s, x)))
-                     for x in range(aut.n_states))
-    obs_trans = {}
-    uo_trans = {}
-    for (x, ev), x2 in aut.trans.items():
-        if ev in s.constraint.observable:
-            obs_trans[(x, ev)] = (x2, commands[x2])
-        else:
-            uo_trans[(x, ev)] = x2
-    return AnnotatedSupervisor(s, commands, obs_trans, uo_trans)
+                     for x in range(s.automaton.n_states))
+    return AnnotatedSupervisor(s, commands)
 
 
 @dataclass(frozen=True)
@@ -94,40 +83,32 @@ def generalized_product(g: PartialDFA, sa: AnnotatedSupervisor,
     ac.check_against(sup.constraint)
 
     observable = sup.constraint.observable
-    start = (g.initial, sup.automaton.initial, h.initial)
-    index = {start: 0}
-    order = [start]
-    trans = {}
-    attack = {}
-    queue = deque([start])
-    while queue:
-        q, x, z = queue.popleft()
-        src = index[(q, x, z)]
+    x_step = sup.automaton.step
+
+    def successors(core):
+        q, x, z = core
         for ev in g.alphabet.events:
             q2 = g.step(q, ev)
-            if q2 is None:
+            x2 = x_step(x, ev)
+            if q2 is None or x2 is None:
                 continue
-            z2 = h.step(z, ev)
-            x2 = sup.automaton.step(x, ev)
-            if x2 is not None:
-                if ev in observable:
-                    seen = ev if ev in ac.attacker_observable else None
-                    key = (ev, (seen, sa.commands[x2]))
-                else:
-                    key = (ev, None)
-                dst = (q2, x2, z2)
-                if dst not in index:
-                    index[dst] = len(order)
-                    order.append(dst)
-                    queue.append(dst)
-                trans[(src, key)] = index[dst]
-            elif ev in ac.attackable:
-                attack[(src, ev)] = h.is_marked(z2)
+            if ev in observable:
+                seen = ev if ev in ac.attacker_observable else None
+                key = (ev, (seen, sa.commands[x2]))
+            else:
+                key = (ev, None)
+            yield key, (q2, x2, h.step(z, ev))
 
+    order, trans = explore((g.initial, sup.automaton.initial, h.initial),
+                           successors)
+    attack_events = tuple(e for e in g.alphabet.events if e in ac.attackable)
+    attack = {(src, ev): h.is_marked(h.step(z, ev))
+              for src, (q, x, z) in enumerate(order)
+              for ev in attack_events
+              if g.step(q, ev) is not None and x_step(x, ev) is None}
     names = tuple(f"({g.names[q]},{sup.automaton.names[x]},{h.names[z]})"
                   for q, x, z in order)
-    return GPAutomaton(names, tuple(order), trans, attack, 0,
-                       tuple(e for e in g.alphabet.events if e in ac.attackable))
+    return GPAutomaton(names, tuple(order), trans, attack, 0, attack_events)
 
 
 @dataclass(frozen=True)
@@ -140,20 +121,21 @@ class AttackerView:
     n_states: int
     initial: int
     eps: dict          # state -> tuple of epsilon successors
-    moves: dict        # (state, ObsEvent) -> tuple of successors
+    moves: dict        # state -> {ObsEvent: tuple of successors}
 
 
 def project_attacker_view(gp: GPAutomaton) -> AttackerView:
-    eps: dict[int, list[int]] = {}
-    moves: dict[tuple[int, ObsEvent], list[int]] = {}
+    eps: dict[int, set[int]] = {}
+    moves: dict[int, dict[ObsEvent, set[int]]] = {}
     for (src, (ev, view)), dst in gp.trans.items():
         if view is None:
-            eps.setdefault(src, []).append(dst)
+            eps.setdefault(src, set()).add(dst)
         else:
-            moves.setdefault((src, view), []).append(dst)
+            moves.setdefault(src, {}).setdefault(view, set()).add(dst)
     return AttackerView(gp.n_states, gp.initial,
-                        {k: tuple(sorted(set(v))) for k, v in eps.items()},
-                        {k: tuple(sorted(set(v))) for k, v in moves.items()})
+                        {v: tuple(sorted(dsts)) for v, dsts in eps.items()},
+                        {v: {obs: tuple(sorted(dsts)) for obs, dsts in out.items()}
+                         for v, out in moves.items()})
 
 
 @dataclass(frozen=True)
@@ -184,29 +166,15 @@ def _closure(states, eps) -> frozenset[int]:
 def determinize_and_label(view: AttackerView, gp: GPAutomaton) -> SubsetAutomaton:
     """Subset construction with epsilon closure, in breadth-first order,
     plus the per-subset attack labels."""
-    init = _closure([view.initial], view.eps)
-    index = {init: 0}
-    order = [init]
-    trans = {}
-    queue = deque([init])
-    while queue:
-        cur = queue.popleft()
-        src = index[cur]
-        events = sorted({obs for (v, obs) in view.moves if v in cur},
-                        key=lambda o: (o[0] or "", o[1]))
-        for obs in events:
-            targets = set()
-            for v in cur:
-                targets.update(view.moves.get((v, obs), ()))
-            nxt = _closure(targets, view.eps)
-            if not nxt:
-                continue
-            if nxt not in index:
-                index[nxt] = len(order)
-                order.append(nxt)
-                queue.append(nxt)
-            trans[(src, obs)] = index[nxt]
+    def successors(cur):
+        targets: dict[ObsEvent, set[int]] = {}
+        for v in cur:
+            for obs, dsts in view.moves.get(v, {}).items():
+                targets.setdefault(obs, set()).update(dsts)
+        for obs in sorted(targets, key=lambda o: (o[0] or "", o[1])):
+            yield obs, _closure(targets[obs], view.eps)
 
+    order, trans = explore(_closure([view.initial], view.eps), successors)
     labels = []
     for cur in order:
         lab = set()

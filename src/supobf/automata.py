@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 
 class AutomatonError(ValueError):
@@ -265,6 +265,32 @@ def _merge_alphabets(a: Alphabet, b: Alphabet) -> Alphabet:
                     a.attacker_observable | b.attacker_observable)
 
 
+def explore(start: Hashable,
+            successors: Callable[[Hashable], Iterable[tuple[Hashable, Hashable]]]
+            ) -> tuple[list, dict]:
+    """Breadth-first exploration of the states reachable from ``start``.
+
+    ``successors(state)`` yields ``(label, target)`` pairs.  Returns
+    ``(order, trans)``: the reachable states in discovery order, and
+    ``trans[(i, label)] = j`` for every pair yielded at ``order[i]``, with
+    ``order[j]`` its target, inserted in the order the pairs were yielded.
+    Products, subset automata and their renderings all inherit their
+    numbering from this order.
+    """
+    index = {start: 0}
+    order = [start]
+    trans = {}
+    # ``order`` grows while it is walked, which makes it the queue
+    for src, state in enumerate(order):
+        for label, target in successors(state):
+            dst = index.get(target)
+            if dst is None:
+                dst = index[target] = len(order)
+                order.append(target)
+            trans[(src, label)] = dst
+    return order, trans
+
+
 def sync_product(a: PartialDFA, b: PartialDFA) -> PartialDFA:
     """Synchronous product, retaining only the reachable pairs.
 
@@ -276,34 +302,15 @@ def sync_product(a: PartialDFA, b: PartialDFA) -> PartialDFA:
     a_events = set(a.alphabet.events)
     b_events = set(b.alphabet.events)
 
-    start = (a.initial, b.initial)
-    index = {start: 0}
-    order = [start]
-    trans = {}
-    queue = deque([start])
-    while queue:
-        pa, pb = queue.popleft()
-        src = index[(pa, pb)]
+    def successors(pair):
+        pa, pb = pair
         for ev in alphabet.events:
-            if ev in a_events and ev in b_events:
-                na, nb = a.step(pa, ev), b.step(pb, ev)
-                if na is None or nb is None:
-                    continue
-            elif ev in a_events:
-                na, nb = a.step(pa, ev), pb
-                if na is None:
-                    continue
-            else:
-                na, nb = pa, b.step(pb, ev)
-                if nb is None:
-                    continue
-            dst = (na, nb)
-            if dst not in index:
-                index[dst] = len(order)
-                order.append(dst)
-                queue.append(dst)
-            trans[(src, ev)] = index[dst]
+            na = a.step(pa, ev) if ev in a_events else pa
+            nb = b.step(pb, ev) if ev in b_events else pb
+            if na is not None and nb is not None:
+                yield ev, (na, nb)
 
+    order, trans = explore((a.initial, b.initial), successors)
     names = tuple(f"({a.names[pa]},{b.names[pb]})" for pa, pb in order)
     if a.marked is None and b.marked is None:
         marked = None
@@ -318,30 +325,19 @@ def dual_marked_product(gbar: CompleteDFA, sbar: CompleteDFA) -> DualMarkedDFA:
     marking pairs that witness the two languages to be separated."""
     if gbar.alphabet.events != sbar.alphabet.events:
         raise AutomatonError("operands must share an alphabet")
-    alphabet = gbar.alphabet
-    start = (gbar.inner.initial, sbar.inner.initial)
-    index = {start: 0}
-    order = [start]
-    trans = {}
-    queue = deque([start])
-    while queue:
-        pg, ps = queue.popleft()
-        src = index[(pg, ps)]
-        for ev in alphabet.events:
-            dst = (gbar.step(pg, ev), sbar.step(ps, ev))
-            if dst not in index:
-                index[dst] = len(order)
-                order.append(dst)
-                queue.append(dst)
-            trans[(src, ev)] = index[dst]
-
+    events = gbar.alphabet.events
+    order, trans = explore(
+        (gbar.inner.initial, sbar.inner.initial),
+        lambda pair: ((ev, (gbar.step(pair[0], ev), sbar.step(pair[1], ev)))
+                      for ev in events))
     names = tuple(f"({gbar.inner.names[pg]},{sbar.inner.names[ps]})"
                   for pg, ps in order)
     mark_a = frozenset(i for i, (pg, ps) in enumerate(order)
                        if pg != gbar.dump and ps != sbar.dump)
     mark_b = frozenset(i for i, (pg, ps) in enumerate(order)
                        if pg != gbar.dump and ps == sbar.dump)
-    return DualMarkedDFA(alphabet, names, tuple(order), trans, 0, mark_a, mark_b)
+    return DualMarkedDFA(gbar.alphabet, names, tuple(order), trans, 0,
+                         mark_a, mark_b)
 
 
 def language_equal(a: PartialDFA, b: PartialDFA):
@@ -379,20 +375,20 @@ def accepts(a: PartialDFA, seq: Sequence[str], marked: bool = False) -> bool:
     return a.is_marked(state) if marked else True
 
 
+def _successors(p: PartialDFA):
+    """Successor function of ``p`` for :func:`explore`, labelled by the
+    event's index in the alphabet."""
+    def successors(q):
+        for k, ev in enumerate(p.alphabet.events):
+            dst = p.trans.get((q, ev))
+            if dst is not None:
+                yield k, dst
+    return successors
+
+
 def reachable_states(p: PartialDFA) -> list[int]:
     """Reachable states in breadth-first order."""
-    seen = {p.initial}
-    order = [p.initial]
-    queue = deque([p.initial])
-    while queue:
-        q = queue.popleft()
-        for ev in p.alphabet.events:
-            nxt = p.step(q, ev)
-            if nxt is not None and nxt not in seen:
-                seen.add(nxt)
-                order.append(nxt)
-                queue.append(nxt)
-    return order
+    return explore(p.initial, _successors(p))[0]
 
 
 def canonical_key(p: PartialDFA) -> tuple:
@@ -402,16 +398,8 @@ def canonical_key(p: PartialDFA) -> tuple:
     reachable parts are isomorphic (respecting the initial state).  Keys
     are totally ordered, so they double as a deterministic sort key.
     """
-    order = reachable_states(p)
-    remap = {q: i for i, q in enumerate(order)}
-    edges = []
-    for i, q in enumerate(order):
-        for k, ev in enumerate(p.alphabet.events):
-            dst = p.step(q, ev)
-            if dst is not None:
-                edges.append((i, k, remap[dst]))
-    edges.sort()
-    return (len(order), tuple(edges))
+    order, trans = explore(p.initial, _successors(p))
+    return (len(order), tuple(sorted((i, k, j) for (i, k), j in trans.items())))
 
 
 def _dot_quote(s: str) -> str:

@@ -16,8 +16,7 @@ import time
 from .automata import AutomatonError, complete, dual_marked_product, to_dot
 from .attack import attackable_by_search, non_attackable, subset_to_dot
 from .control import closed_loop, validate_damage
-from .obfuscate import (ObfuscationRequest, behavior_preserving_supervisors,
-                        obfuscate)
+from .obfuscate import ObfuscationRequest, enumerate_instance, obfuscate
 from .problemfile import (ParseError, ProblemFile, emit_automaton_section,
                           emit_problem, load_problem, with_supervisor)
 from .satenc import encode, export_dimacs
@@ -90,16 +89,14 @@ def cmd_check(args) -> int:
 
 def cmd_synth_bp(args) -> int:
     pf = _load(args)
+    product = dual_marked_product(complete(pf.plant),
+                                  complete(pf.supervisor.automaton))
+    cnf, vt = encode(args.n, product, pf.control)
     # enumerate first: an input error then leaves no DIMACS file behind
-    sups, truncated = behavior_preserving_supervisors(
-        pf.plant, pf.supervisor.automaton, pf.control, args.n,
-        limit=args.limit)
+    sups, truncated = enumerate_instance(cnf, vt, args.limit)
     if args.dimacs:
-        product = dual_marked_product(complete(pf.plant),
-                                      complete(pf.supervisor.automaton))
-        cnf, vt = encode(args.n, product, pf.control)
         # the plain size-n encoding: every row usable
-        cnf.extend([v] for _, v in vt.iter_activation_vars())
+        cnf.clauses += [[v] for _, v in vt.iter_activation_vars()]
         with open(args.dimacs, "w", encoding="utf-8") as fh:
             fh.write(export_dimacs(cnf, vt))
     print(f"# {len(sups)} behavior-preserving supervisor(s) of size {args.n}"

@@ -34,7 +34,7 @@ from .control import (AttackConstraint, ControlConstraint, Supervisor,
                       closed_loop, validate_damage)
 from .attack import non_attackable
 from .sat import SatSolver
-from .satenc import (VarTable, blocking_clause, decode_model, encode,
+from .satenc import (CnfInstance, VarTable, blocking_clause, decode_model, encode,
                      size_assumptions, solve_instance)
 
 
@@ -117,10 +117,16 @@ def behavior_preserving_supervisors(plant: PartialDFA, sup_aut: PartialDFA,
     """All behavior-preserving supervisors of exact reachable size ``n``,
     one per isomorphism class, canonically sorted; returns (supervisors,
     truncated)."""
-    stats = EnumerationStats()
     product = dual_marked_product(complete(plant), complete(sup_aut))
-    cnf, vt = encode(n, product, constraint)
-    found = sorted(iter_size_candidates(solve_instance(cnf), vt, n, limit,
+    return enumerate_instance(*encode(n, product, constraint), limit)
+
+
+def enumerate_instance(cnf: CnfInstance, vt: VarTable,
+                       limit: Optional[int] = None):
+    """:func:`behavior_preserving_supervisors` of exact size ``vt.n`` on an
+    instance already encoded as ``(cnf, vt)``."""
+    stats = EnumerationStats()
+    found = sorted(iter_size_candidates(solve_instance(cnf), vt, vt.n, limit,
                                         stats),
                    key=lambda kc: kc[0])
     return [c for _, c in found], stats.truncated

@@ -43,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
 
-from .automata import AutomatonError, DualMarkedDFA, PartialDFA
+from .automata import AutomatonError, DualMarkedDFA, PartialDFA, explore
 from .control import ControlConstraint
 from .sat import BackendError, SatSolver
 
@@ -52,17 +52,12 @@ Clause = list[int]
 
 @dataclass
 class CnfInstance:
+    """Clauses over variables ``1..num_vars``.  The encoder's clauses are
+    well-formed by construction; :func:`parse_dimacs`, where outside input
+    arrives, checks its clauses."""
+
     num_vars: int
     clauses: list[Clause] = field(default_factory=list)
-
-    def extend(self, clauses: Iterable[Clause]) -> None:
-        for cl in clauses:
-            lits = set(cl)
-            if any(-l in lits for l in lits):
-                raise AutomatonError("tautological clause")
-            if any(abs(l) > self.num_vars or l == 0 for l in cl):
-                raise AutomatonError("literal outside allocated variables")
-            self.clauses.append(list(cl))
 
 
 class VarTable:
@@ -219,12 +214,9 @@ def encode(n: int, product: DualMarkedDFA,
     supervisor over ``constraint`` exists; under ``size_assumptions(vt, m)``
     iff an ``m``-bounded one exists."""
     vt = VarTable(n, product.alphabet, constraint, product.n_states)
-    cnf = CnfInstance(vt.num_vars)
-    cnf.extend(transition_function_clauses(vt))
-    cnf.extend(controllability_clauses(vt))
-    cnf.extend(separation_clauses(vt, product))
-    cnf.extend(activation_clauses(vt))
-    return cnf, vt
+    clauses = (transition_function_clauses(vt) + controllability_clauses(vt)
+               + separation_clauses(vt, product) + activation_clauses(vt))
+    return CnfInstance(vt.num_vars, clauses), vt
 
 
 @dataclass(frozen=True)
@@ -252,19 +244,13 @@ def decode_model(model: dict[int, bool], vt: VarTable) -> DecodedSupervisor:
                 raise BackendError(f"row ({i},{e}) has {len(hits)} successors")
             if hits[0] < n:
                 trans_full[(i, e)] = hits[0]
-    rows = {0}
-    frontier = [0]
-    while frontier:
-        i = frontier.pop()
-        for e in vt.observable:
-            j = trans_full.get((i, e))
-            if j is not None and j not in rows:
-                rows.add(j)
-                frontier.append(j)
+    rows, _ = explore(0, lambda i: ((e, trans_full[(i, e)])
+                                    for e in vt.observable
+                                    if (i, e) in trans_full))
     order = sorted(rows)
     remap = {i: k for k, i in enumerate(order)}
     trans = {(remap[i], e): remap[j]
-             for (i, e), j in trans_full.items() if i in rows}
+             for (i, e), j in trans_full.items() if i in remap}
     for k in range(len(order)):
         for e in vt.unobservable:
             trans[(k, e)] = k
@@ -338,6 +324,10 @@ def parse_dimacs(text: str) -> CnfInstance:
         clauses.append(pending)
     if num_clauses is not None and num_clauses != len(clauses):
         raise ValueError(f"header announced {num_clauses} clauses, found {len(clauses)}")
-    cnf = CnfInstance(num_vars)
-    cnf.extend(clauses)
-    return cnf
+    for cl in clauses:
+        lits = set(cl)
+        if any(-l in lits for l in lits):
+            raise ValueError(f"tautological clause: {cl}")
+        if any(abs(l) > num_vars for l in cl):
+            raise ValueError(f"literal outside the header's {num_vars} variables: {cl}")
+    return CnfInstance(num_vars, clauses)

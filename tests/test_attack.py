@@ -29,22 +29,20 @@ def test_annotate_single_state_full():
                        S.ControlConstraint.from_alphabet(alph))
     sa = annotate_supervisor(sup)
     assert sa.commands == (("a",),)
-    assert sa.obs_trans == {(0, "a"): (0, ("a",))}
-    assert sa.uo_trans == {}
 
 
 def test_annotate_example1_commands(example1):
     sa = annotate_supervisor(example1.supervisor)
     x3 = example1.supervisor.automaton.run(["a", "c"])
     x4 = example1.supervisor.automaton.run(["a", "c", "d"])
-    assert sa.obs_trans[(x3, "d")] == (x4, ("b",))
-    # the unobservable b self-loops carry no annotation
-    assert sa.uo_trans[(x3, "b")] == x3
+    assert example1.supervisor.automaton.step(x3, "d") == x4
+    assert sa.commands[x4] == ("b",)
 
 
 def test_annotate_tri_command(tri):
     sa = annotate_supervisor(tri.supervisor)
-    assert sa.obs_trans[(0, "a")] == (1, ("a", "b"))
+    assert tri.supervisor.automaton.step(0, "a") == 1
+    assert sa.commands[1] == ("a", "b")
 
 
 def test_generalized_product_no_attackable_events(tri):
@@ -101,7 +99,7 @@ def test_attacker_projection_atk_command_update(atk):
     view = project_attacker_view(gp)
     # a is supervisor-observable but attacker-invisible: it surfaces as a
     # command-only observation
-    assert any(obs[0] is None for (_, obs) in view.moves)
+    assert any(obs[0] is None for out in view.moves.values() for obs in out)
 
 
 def test_determinize_singletons_without_epsilon(atk):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 import supobf as S
+from supobf.automata import explore
 from conftest import marked_strings_upto, random_alphabet, random_plant, strings_upto
 
 
@@ -258,3 +259,25 @@ def test_to_dot_outputs(tri):
                                 S.complete(tri.supervisor.automaton))
     gdot = S.to_dot(gds)
     assert "palegreen" in gdot and "lightcoral" in gdot
+
+
+def test_explore_order_and_transitions():
+    # yielded out of label order, with a self-loop (t a t) and edges back
+    # to states already discovered (t b s, u a t)
+    graph = {"s": [("b", "u"), ("a", "t")],
+             "t": [("a", "t"), ("b", "s")],
+             "u": [("c", "w"), ("a", "t")],
+             "w": []}
+    calls = []
+
+    def successors(state):
+        calls.append(state)
+        return iter(graph[state])
+
+    order, trans = explore("s", successors)
+    assert order == ["s", "u", "t", "w"]
+    assert calls == order  # each state expanded once, in discovery order
+    assert list(trans.items()) == [((0, "b"), 1), ((0, "a"), 2),
+                                   ((1, "c"), 3), ((1, "a"), 2),
+                                   ((2, "a"), 2), ((2, "b"), 0)]
+    assert explore(7, lambda q: ()) == ([7], {})

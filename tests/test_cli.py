@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,7 @@ from supobf.cli import main
 from conftest import FIXTURES, load_fixture
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+GOLDEN_NAMES = ["atk", "example1", "example1_obfuscated", "perf", "single", "tri"]
 
 
 def fixture(name: str) -> str:
@@ -128,12 +130,40 @@ def test_obfuscate_json_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-@pytest.mark.parametrize("name", ["atk", "example1", "example1_obfuscated",
-                                  "perf", "single", "tri"])
+@pytest.mark.parametrize("name", GOLDEN_NAMES)
 def test_obfuscate_json_matches_golden(name, tmp_path):
     out = tmp_path / "run.json"
     main(["obfuscate", fixture(name), "--json", str(out)])
     assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", GOLDEN_NAMES)
+def test_check_and_closed_loop_match_golden(name, tmp_path, capsys):
+    view, loop = tmp_path / "view.dot", tmp_path / "loop.dot"
+    code = main(["check", fixture(name), "--witness", "--dot", str(view)])
+    out = capsys.readouterr().out
+    assert out.encode("utf-8") == (GOLDEN / f"{name}.witness.txt").read_bytes()
+    assert code == (0 if out == "non-attackable\n" else 1)
+    assert view.read_bytes() == (GOLDEN / f"{name}.check.dot").read_bytes()
+    assert main(["closed-loop", fixture(name), "--dot", str(loop)]) == 0
+    assert loop.read_bytes() == (GOLDEN / f"{name}.closed-loop.dot").read_bytes()
+
+
+def test_synth_bp_dimacs_encodes_once(tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def counting_encode(*args, **kwargs):
+        calls.append(args[0])
+        return S.encode(*args, **kwargs)
+
+    for module in ("supobf.cli", "supobf.obfuscate"):
+        monkeypatch.setattr(sys.modules[module], "encode", counting_encode)
+    dimacs = tmp_path / "inst.cnf"
+    assert main(["synth-bp", fixture("tri"), "-n", "2",
+                 "--dimacs", str(dimacs)]) == 0
+    assert calls == [2]
+    assert capsys.readouterr().out.count("[supervisor]") == 2
+    assert dimacs.exists()
 
 
 @pytest.mark.parametrize("limit", ["0", "-1"])

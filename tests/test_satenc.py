@@ -364,9 +364,7 @@ def test_constant_folding_matches_explicit_encoding():
 
 def test_export_dimacs_trivial_cases():
     assert S.export_dimacs(S.CnfInstance(0)) == "p cnf 0 0\n"
-    cnf = S.CnfInstance(1)
-    cnf.extend([[1]])
-    assert S.export_dimacs(cnf) == "p cnf 1 1\n1 0\n"
+    assert S.export_dimacs(S.CnfInstance(1, [[1]])) == "p cnf 1 1\n1 0\n"
 
 
 def test_dimacs_round_trip_and_external_solve(tri):
@@ -393,6 +391,14 @@ def test_parse_dimacs_rejects_bad_header():
         S.parse_dimacs("p dnf 1 1\n1 0\n")
     with pytest.raises(ValueError):
         S.parse_dimacs("p cnf 1 2\n1 0\n")
+
+
+def test_parse_dimacs_rejects_bad_clauses():
+    with pytest.raises(ValueError, match="tautological"):
+        S.parse_dimacs("p cnf 2 1\n1 2 -1 0\n")
+    with pytest.raises(ValueError, match="outside"):
+        S.parse_dimacs("p cnf 2 1\n1 -3 0\n")
+    assert S.parse_dimacs("p cnf 2 1\n1 -2 0\n").clauses == [[1, -2]]
 
 
 def test_activation_literals_restrict_the_size(tri):

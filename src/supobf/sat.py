@@ -4,6 +4,14 @@ The backend contract expected by the encoding layer:
 
 * ``add_clause(lits)``: clauses may be added at any time, including after
   a satisfiable ``solve()`` (blocking clauses for model enumeration);
+* ``load_clauses(clauses)``: bulk loading at the root, with the effect of
+  ``add_clause`` on each clause in order.  It skips ``add_clause``'s
+  checks, so every clause must be well formed: distinct non-zero
+  literals over the reserved variables ``1..num_vars``, no literal
+  together with its negation (what ``parse_dimacs`` enforces and the
+  encoder produces).  A clause of two or more literals none of which is
+  assigned at the root is attached as a copy; the others (unit clauses,
+  clauses touching a root value) go through ``add_clause``;
 * ``solve(assumptions=())``: returns True/False.  The assumptions are
   literals that hold for this call only (MiniSat style, Eén & Sörensson,
   "An Extensible SAT-solver", SAT 2003): each one takes its own decision
@@ -25,11 +33,19 @@ Conflict analysis is first-UIP with activity-based branching (decayed
 scores, lowest index wins ties) and false-first polarity.  There are no
 restarts; the solver is complete without them and the instances produced
 by the encoder are desk-scale.
+
+Layout: values and watch lists are indexed by the signed literal itself.
+Both lists have ``2 * num_vars + 1`` entries ordered ``[unused, +1 ..
++num_vars, -num_vars .. -1]``, so Python's negative indexing maps ``-v``
+to its own slot; new variables are inserted in the middle.  A literal's
+value is one index (``_TRUE``, ``_FALSE`` or ``_UNSET``), and watch
+lists and reasons hold the clause lists themselves.  Levels, reasons and
+activities stay indexed by variable.
 """
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Iterable, Optional
 
 
@@ -47,12 +63,12 @@ _ACT_LIMIT = 1e100
 class SatSolver:
     def __init__(self):
         self.num_vars = 0
-        self.clauses: list[list[int]] = []
-        self._watches: dict[int, list[int]] = {}
-        self._value: list[int] = [0]        # 1-indexed, sign-coded
+        self._watches: list[list[list[int]]] = [[]]  # literal-indexed
+        self._value: list[int] = [_UNSET]            # literal-indexed
         self._level: list[int] = [0]
-        self._reason: list[Optional[int]] = [None]
+        self._reason: list[Optional[list[int]]] = [None]
         self._activity: list[float] = [0.0]
+        self._seen: list[bool] = [False]  # conflict analysis scratch
         self._heap: list[tuple[float, int]] = []
         self._act_inc = 1.0
         self._trail: list[int] = []
@@ -70,32 +86,28 @@ class SatSolver:
         self._ensure_var(num_vars)
 
     def _ensure_var(self, v: int) -> None:
-        while self.num_vars < v:
-            self.num_vars += 1
-            self._value.append(_UNSET)
-            self._level.append(0)
-            self._reason.append(None)
-            self._activity.append(0.0)
-            heapq.heappush(self._heap, (0.0, self.num_vars))
+        old = self.num_vars
+        if v <= old:
+            return
+        grow = v - old
+        # the slots of +old+1 .. +v and -v .. -old-1 go between +old and -old
+        self._value[old + 1:old + 1] = [_UNSET] * (2 * grow)
+        self._watches[old + 1:old + 1] = [[] for _ in range(2 * grow)]
+        self._level += [0] * grow
+        self._reason += [None] * grow
+        self._activity += [0.0] * grow
+        self._seen += [False] * grow
+        for u in range(old + 1, v + 1):
+            heappush(self._heap, (0.0, u))
+        self.num_vars = v
 
-    def _lit_value(self, lit: int) -> int:
-        v = self._value[abs(lit)]
-        return v if lit > 0 else -v
-
-    def _assign(self, lit: int, reason: Optional[int]) -> None:
-        v = abs(lit)
-        self._value[v] = _TRUE if lit > 0 else _FALSE
+    def _assign(self, lit: int, reason: Optional[list[int]]) -> None:
+        self._value[lit] = _TRUE
+        self._value[-lit] = _FALSE
+        v = lit if lit > 0 else -lit
         self._level[v] = len(self._trail_lim)
         self._reason[v] = reason
         self._trail.append(lit)
-
-    def _bump(self, v: int) -> None:
-        self._activity[v] += self._act_inc
-        if self._activity[v] > _ACT_LIMIT:
-            for u in range(1, self.num_vars + 1):
-                self._activity[u] *= 1e-100
-            self._act_inc *= 1e-100
-        heapq.heappush(self._heap, (-self._activity[v], v))
 
     # -- clause management -------------------------------------------------
 
@@ -104,6 +116,8 @@ class SatSolver:
         # drop the free decisions; the levels of the last call's
         # assumptions stay (decision level k holds assumption k - 1)
         self._backtrack(len(self._assumed))
+        value = self._value
+        level = self._level
         seen = set()
         clause = []
         for lit in lits:
@@ -114,11 +128,12 @@ class SatSolver:
             if lit in seen:
                 continue
             seen.add(lit)
-            self._ensure_var(abs(lit))
-            val = self._lit_value(lit)
-            if val == _TRUE and self._level[abs(lit)] == 0:
-                return  # satisfied at root
-            if val == _FALSE and self._level[abs(lit)] == 0:
+            v = lit if lit > 0 else -lit
+            self._ensure_var(v)
+            val = value[lit]
+            if val != _UNSET and level[v] == 0:
+                if val == _TRUE:
+                    return  # satisfied at root
                 continue  # falsified at root, drop the literal
             clause.append(lit)
         if not clause:
@@ -129,7 +144,7 @@ class SatSolver:
                 # watch two literals that are not false on the kept
                 # assumption levels; without two, add the clause at the root
                 free = [k for k, lit in enumerate(clause)
-                        if self._lit_value(lit) != _FALSE]
+                        if value[lit] != _FALSE]
                 if len(free) < 2:
                     self._backtrack(0)
                 elif free[:2] != [0, 1]:
@@ -146,116 +161,192 @@ class SatSolver:
         if self._propagate() is not None:
             self._unsat = True
 
-    def _attach(self, clause: list[int]) -> int:
-        idx = len(self.clauses)
-        self.clauses.append(clause)
-        self._watches.setdefault(clause[0], []).append(idx)
-        self._watches.setdefault(clause[1], []).append(idx)
-        return idx
+    def load_clauses(self, clauses: Iterable[list[int]]) -> None:
+        """Add well-formed clauses at the root (see the module docstring
+        for the precondition); the solver keeps its own copies, since it
+        reorders literals in place.  Drops the assumption levels a previous
+        ``solve`` kept."""
+        self._backtrack(0)
+        value = self._value
+        watches = self._watches
+        root = self._trail  # every assignment on it is at the root here
+        for cl in clauses:
+            if len(cl) > 1:
+                for lit in cl if root else ():
+                    if value[lit] != _UNSET:
+                        break
+                else:
+                    clause = cl[:]
+                    watches[clause[0]].append(clause)
+                    watches[clause[1]].append(clause)
+                    continue
+            # a unit clause, or one with a root value: add_clause folds it in
+            self.add_clause(cl)
+
+    def _attach(self, clause: list[int]) -> None:
+        self._watches[clause[0]].append(clause)
+        self._watches[clause[1]].append(clause)
 
     # -- search ------------------------------------------------------------
 
-    def _propagate(self) -> Optional[int]:
-        while self._qhead < len(self._trail):
-            lit = self._trail[self._qhead]
-            self._qhead += 1
-            falsified = -lit
-            watchers = self._watches.get(falsified, [])
-            kept = []
+    def _propagate(self) -> Optional[list[int]]:
+        """Unit propagation from ``_qhead``; returns a conflicting clause."""
+        trail = self._trail
+        qhead = self._qhead
+        if qhead == len(trail):
+            return None
+        value = self._value
+        watches = self._watches
+        level = self._level
+        reason = self._reason
+        cur = len(self._trail_lim)
+        props = 0
+        conflict = None
+        while qhead < len(trail):
+            falsified = -trail[qhead]
+            qhead += 1
+            ws = watches[falsified]
+            kept = 0
             i = 0
-            while i < len(watchers):
-                ci = watchers[i]
+            end = len(ws)
+            while i < end:
+                clause = ws[i]
                 i += 1
-                clause = self.clauses[ci]
-                if clause[0] == falsified:
-                    clause[0], clause[1] = clause[1], clause[0]
-                # clause[1] == falsified now
-                if self._lit_value(clause[0]) == _TRUE:
-                    kept.append(ci)
-                    continue
-                moved = False
-                for k in range(2, len(clause)):
-                    if self._lit_value(clause[k]) != _FALSE:
-                        clause[1], clause[k] = clause[k], clause[1]
-                        self._watches.setdefault(clause[1], []).append(ci)
-                        moved = True
-                        break
-                if moved:
-                    continue
-                kept.append(ci)
                 first = clause[0]
-                if self._lit_value(first) == _FALSE:
-                    kept.extend(watchers[i:])
-                    self._watches[falsified] = kept
-                    self.stats["conflicts"] += 1
-                    return ci
-                self._assign(first, ci)
-                self.stats["propagations"] += 1
-            self._watches[falsified] = kept
-        return None
+                if first == falsified:
+                    first = clause[1]
+                    clause[0] = first
+                    clause[1] = falsified
+                # clause[1] == falsified now
+                if value[first] == _TRUE:
+                    ws[kept] = clause
+                    kept += 1
+                    continue
+                for k in range(2, len(clause)):
+                    lit = clause[k]
+                    if value[lit] != _FALSE:
+                        clause[1] = lit
+                        clause[k] = falsified
+                        watches[lit].append(clause)
+                        break
+                else:
+                    ws[kept] = clause
+                    kept += 1
+                    if value[first] == _FALSE:
+                        conflict = clause
+                        break
+                    value[first] = _TRUE
+                    value[-first] = _FALSE
+                    v = first if first > 0 else -first
+                    level[v] = cur
+                    reason[v] = clause
+                    trail.append(first)
+                    props += 1
+            # the moved watches sit in ws[kept:i]; on a conflict the
+            # unvisited ones after them stay
+            del ws[kept:i]
+            if conflict is not None:
+                break
+        self._qhead = qhead
+        stats = self.stats
+        stats["propagations"] += props
+        if conflict is not None:
+            stats["conflicts"] += 1
+        return conflict
 
-    def _analyze(self, conflict: int) -> tuple[list[int], int]:
+    def _analyze(self, conflict: list[int]) -> tuple[list[int], int]:
         """First-UIP learned clause and the backjump level."""
+        level = self._level
+        reason = self._reason
+        seen = self._seen
+        activity = self._activity
+        heap = self._heap
+        trail = self._trail
+        inc = self._act_inc
+        act_limit = _ACT_LIMIT
         learned = [0]  # placeholder for the asserting literal
-        seen = [False] * (self.num_vars + 1)
         counter = 0
         lit = None
-        clause = self.clauses[conflict]
-        idx = len(self._trail) - 1
+        clause = conflict
+        idx = len(trail) - 1
         cur_level = len(self._trail_lim)
         while True:
             for q in clause:
                 if q == lit:
                     continue  # the literal just resolved on
-                v = abs(q)
-                if not seen[v] and self._level[v] > 0:
+                v = q if q > 0 else -q
+                if not seen[v] and level[v] > 0:
                     seen[v] = True
-                    self._bump(v)
-                    if self._level[v] >= cur_level:
+                    # bump the activity; rescale all of them past the limit
+                    activity[v] += inc
+                    if activity[v] > act_limit:
+                        for u in range(1, self.num_vars + 1):
+                            activity[u] *= 1e-100
+                        inc *= 1e-100
+                    heappush(heap, (-activity[v], v))
+                    if level[v] >= cur_level:
                         counter += 1
                     else:
                         learned.append(q)
-            while not seen[abs(self._trail[idx])]:
+            lit = trail[idx]
+            while not seen[lit if lit > 0 else -lit]:
                 idx -= 1
-            lit = self._trail[idx]
-            v = abs(lit)
+                lit = trail[idx]
+            v = lit if lit > 0 else -lit
             seen[v] = False
             counter -= 1
             if counter == 0:
                 break
-            clause = self.clauses[self._reason[v]]
+            clause = reason[v]
             idx -= 1
+        self._act_inc = inc
         learned[0] = -lit
         if len(learned) == 1:
             return learned, 0
-        back = max(self._level[abs(q)] for q in learned[1:])
+        # the literals below the current level are the only marks left
+        back = 0
+        for q in learned[1:]:
+            v = q if q > 0 else -q
+            seen[v] = False
+            if level[v] > back:
+                back = level[v]
         # watch a literal from the backjump level in second position
         for k in range(1, len(learned)):
-            if self._level[abs(learned[k])] == back:
-                learned[1], learned[k] = learned[k], learned[1]
+            q = learned[k]
+            if level[q if q > 0 else -q] == back:
+                learned[1], learned[k] = q, learned[1]
                 break
         return learned, back
 
     def _backtrack(self, level: int) -> None:
-        if len(self._trail_lim) <= level:
+        trail_lim = self._trail_lim
+        if len(trail_lim) <= level:
             return
-        mark = self._trail_lim[level]
-        for lit in self._trail[mark:]:
-            v = abs(lit)
-            self._value[v] = _UNSET
-            self._reason[v] = None
-            heapq.heappush(self._heap, (-self._activity[v], v))
-        del self._trail[mark:]
-        del self._trail_lim[level:]
-        self._qhead = min(self._qhead, mark)
+        mark = trail_lim[level]
+        trail = self._trail
+        value = self._value
+        activity = self._activity
+        heap = self._heap
+        # levels and reasons are read only while assigned: they stay
+        for lit in trail[mark:]:
+            value[lit] = _UNSET
+            value[-lit] = _UNSET
+            v = lit if lit > 0 else -lit
+            heappush(heap, (-activity[v], v))
+        del trail[mark:]
+        del trail_lim[level:]
+        if self._qhead > mark:
+            self._qhead = mark
 
     def _pick_variable(self) -> Optional[int]:
-        while self._heap:
-            _, v = heapq.heappop(self._heap)
-            if self._value[v] == _UNSET:
+        heap = self._heap
+        value = self._value
+        while heap:
+            v = heappop(heap)[1]
+            if value[v] == _UNSET:
                 return v
         for v in range(1, self.num_vars + 1):
-            if self._value[v] == _UNSET:
+            if value[v] == _UNSET:
                 return v
         return None
 
@@ -281,10 +372,13 @@ class SatSolver:
         if not self._trail_lim and self._propagate() is not None:
             self._unsat = True
             return False
+        value = self._value
+        trail = self._trail
+        trail_lim = self._trail_lim
         while True:
             conflict = self._propagate()
             if conflict is not None:
-                if not self._trail_lim:
+                if not trail_lim:
                     self._unsat = True
                     return False
                 learned, back = self._analyze(conflict)
@@ -292,17 +386,17 @@ class SatSolver:
                 if len(learned) == 1:
                     self._assign(learned[0], None)
                 else:
-                    ci = self._attach(learned)
-                    self._assign(learned[0], ci)
+                    self._attach(learned)
+                    self._assign(learned[0], learned)
                 self._act_inc *= _ACT_DECAY
                 continue
-            level = len(self._trail_lim)
+            level = len(trail_lim)
             if level < len(assumptions):
                 lit = assumptions[level]
-                val = self._lit_value(lit)
+                val = value[lit]
                 if val == _FALSE:
                     return False  # the assumptions contradict the clauses
-                self._trail_lim.append(len(self._trail))
+                trail_lim.append(len(trail))
                 if val == _UNSET:
                     self._assign(lit, None)
                 continue
@@ -310,13 +404,14 @@ class SatSolver:
             if v is None:
                 return True
             self.stats["decisions"] += 1
-            self._trail_lim.append(len(self._trail))
+            trail_lim.append(len(trail))
             self._assign(-v, None)  # false-first polarity
 
     def model(self) -> dict[int, bool]:
+        value = self._value
         out = {}
         for v in range(1, self.num_vars + 1):
-            if self._value[v] == _UNSET:
+            if value[v] == _UNSET:
                 raise BackendError(f"variable {v} unassigned in model")
-            out[v] = self._value[v] == _TRUE
+            out[v] = value[v] == _TRUE
         return out

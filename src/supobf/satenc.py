@@ -52,9 +52,11 @@ Clause = list[int]
 
 @dataclass
 class CnfInstance:
-    """Clauses over variables ``1..num_vars``.  The encoder's clauses are
-    well-formed by construction; :func:`parse_dimacs`, where outside input
-    arrives, checks its clauses."""
+    """Clauses over variables ``1..num_vars``, each well formed: distinct
+    non-zero literals within that range, none together with its negation.
+    The encoder's clauses are so by construction; :func:`parse_dimacs`,
+    where outside input arrives, checks its clauses, and
+    :func:`solve_instance` relies on it."""
 
     num_vars: int
     clauses: list[Clause] = field(default_factory=list)
@@ -175,24 +177,32 @@ def separation_clauses(vt: VarTable, product: DualMarkedDFA) -> list[Clause]:
     if vt.num_product_states != product.n_states:
         raise AutomatonError("variable table sized for a different product")
     n = vt.n
-    out = [[vt.reach_var(0, product.initial)]]
-    for y1 in range(product.n_states):
-        for e in product.alphabet.events:
-            y2 = product.trans[(y1, e)]
-            for i in range(n + 1):
-                for j in range(n + 1):
-                    t = vt.trans_var(i, e, j)
-                    if t is False or (i == j and y1 == y2):
-                        continue  # impossible edge, or a tautology
-                    if t is True:
-                        out.append([-vt.reach_var(i, y1), vt.reach_var(j, y2)])
-                    else:
-                        out.append([-vt.reach_var(i, y1), -t, vt.reach_var(j, y2)])
+    size = product.n_states
+    base = vt.reach_var(0, 0)  # r(i, y) is base + i * size + y
+    # per event, the (i, j, t) edges of the candidate's completion that
+    # can occur, as (r(i, 0), r(j, 0), t, i == j)
+    edges = {e: [(base + i * size, base + j * size, t, i == j)
+                 for i in range(n + 1) for j in range(n + 1)
+                 for t in (vt.trans_var(i, e, j),) if t is not False]
+             for e in product.alphabet.events}
+    trans = product.trans
+    out = [[base + product.initial]]
+    for y1 in range(size):
+        for e, triples in edges.items():
+            y2 = trans[(y1, e)]
+            loop = y1 == y2
+            for ri, rj, t, same in triples:
+                if same and loop:
+                    continue  # a tautology
+                if t is True:
+                    out.append([-(ri + y1), rj + y2])
+                else:
+                    out.append([-(ri + y1), -t, rj + y2])
     for y in sorted(product.mark_a):
-        out.append([-vt.reach_var(n, y)])
+        out.append([-(base + n * size + y)])
     for y in sorted(product.mark_b):
         for i in range(n):
-            out.append([-vt.reach_var(i, y)])
+            out.append([-(base + i * size + y)])
     return out
 
 
@@ -271,12 +281,13 @@ def blocking_clause(model: dict[int, bool], vt: VarTable,
 
 
 def solve_instance(cnf: CnfInstance) -> SatSolver:
-    """Load an instance into the in-tree solver and return it, ready for
-    solve()/blocking."""
+    """Load an instance into the in-tree solver in one pass at the root
+    (``SatSolver.load_clauses``, whose precondition every
+    :class:`CnfInstance` meets) and return it, ready for solve()/blocking.
+    The solver copies the clauses, so ``cnf`` stays as it was."""
     backend = SatSolver()
     backend.reserve(cnf.num_vars)
-    for cl in cnf.clauses:
-        backend.add_clause(cl)
+    backend.load_clauses(cnf.clauses)
     return backend
 
 
@@ -312,6 +323,8 @@ def parse_dimacs(text: str) -> CnfInstance:
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ValueError(f"bad DIMACS header: {line!r}")
             num_vars, num_clauses = int(parts[2]), int(parts[3])
+            if num_vars < 0 or num_clauses < 0:
+                raise ValueError(f"negative count in DIMACS header: {line!r}")
             continue
         for tok in line.split():
             lit = int(tok)
@@ -326,6 +339,8 @@ def parse_dimacs(text: str) -> CnfInstance:
         raise ValueError(f"header announced {num_clauses} clauses, found {len(clauses)}")
     for cl in clauses:
         lits = set(cl)
+        if len(lits) != len(cl):
+            raise ValueError(f"repeated literal in clause: {cl}")
         if any(-l in lits for l in lits):
             raise ValueError(f"tautological clause: {cl}")
         if any(abs(l) > num_vars for l in cl):

@@ -1,10 +1,14 @@
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
 import supobf as S
 from supobf.sat import SatSolver
+
+TRAJECTORY = Path(__file__).resolve().parent / "golden" / "sat_trajectory.json"
 
 
 def brute_force_sat(num_vars, clauses):
@@ -292,3 +296,73 @@ def test_blocking_enumeration_across_assumption_sets():
             k += 1
         assert found == {m for m in expected
                          if any(consistent(m, a) for a in sets)}
+
+
+def assumption_set(rng, num_vars):
+    return [rng.choice([1, -1]) * v
+            for v in rng.sample(range(1, num_vars + 1), rng.randint(0, 3))]
+
+
+def sat_trajectory():
+    """Answers, models and final statistics of seeded solver runs.
+
+    Each of eight runs loads a random 3-CNF near the satisfiability
+    threshold, with two unit clauses among its clauses, through
+    ``solve_instance`` (odd seeds) or clause by clause (even seeds), then
+    solves 30 times under three rotating sets of up to three assumptions.
+    After each model it adds a clause that blocks the model's values on
+    the first 12 variables, a random clause, a unit clause or a clause
+    over a new variable.  A model is written as one character per
+    variable, ``1`` for true."""
+    out = []
+    for seed in range(8):
+        rng = random.Random(seed)
+        num_vars = rng.randint(60, 90)
+        clauses = [[rng.choice([1, -1]) * v
+                    for v in rng.sample(range(1, num_vars + 1), 3)]
+                   for _ in range(int(num_vars * 3.8))]
+        for _ in range(2):
+            clauses.insert(rng.randrange(len(clauses)),
+                           [rng.choice([1, -1]) * rng.randint(1, num_vars)])
+        if seed % 2:
+            s = S.solve_instance(S.CnfInstance(num_vars, clauses))
+        else:
+            s = SatSolver()
+            s.reserve(num_vars)
+            for cl in clauses:
+                s.add_clause(cl)
+        sets = [assumption_set(rng, num_vars) for _ in range(3)]
+        runs = []
+        for step in range(30):
+            assumptions = sets[step % 3]
+            if step == 20:  # an assumption over a variable no clause has
+                assumptions = assumptions + [-(s.num_vars + 1)]
+            if not s.solve(assumptions):
+                runs.append(None)
+                sets[step % 3] = assumption_set(rng, num_vars)
+                continue
+            model = s.model()
+            runs.append("".join("1" if model[v] else "0"
+                                for v in range(1, len(model) + 1)))
+            roll = rng.random()
+            if roll < 0.6:
+                s.add_clause([-v if model[v] else v for v in range(1, 13)])
+            elif roll < 0.8:
+                s.add_clause([rng.choice([1, -1]) * rng.randint(1, num_vars)
+                              for _ in range(3)])
+            elif roll < 0.9:
+                s.add_clause([rng.choice([1, -1]) * rng.randint(1, num_vars)])
+            else:
+                s.add_clause([s.num_vars + 1,
+                              rng.choice([1, -1]) * rng.randint(1, num_vars)])
+        out.append({"seed": seed, "runs": runs, "stats": dict(s.stats)})
+    return out
+
+
+def test_search_trajectory_matches_golden(monkeypatch):
+    # the same decisions, conflicts, propagations and models as the runs
+    # recorded in the golden file; a low activity limit reaches the rescale
+    golden = json.loads(TRAJECTORY.read_text(encoding="utf-8"))
+    assert sat_trajectory() == golden["default"]
+    monkeypatch.setattr("supobf.sat._ACT_LIMIT", 50.0)
+    assert sat_trajectory() == golden["act_limit_50"]

@@ -157,6 +157,33 @@ def test_tri_bounds(tri):
     assert S.check_supervisor(decoded.automaton, tri.control) == []
 
 
+def test_bulk_load_matches_clause_by_clause(tri, atk):
+    # solve_instance loads with the effect of add_clause on each clause
+    # in order, and on copies: the solver reorders its own literals
+    for pf, n in ((tri, 2), (tri, 3), (atk, 3)):
+        cnf, vt = S.encode(n, product_of(pf), pf.control)
+        before = [list(cl) for cl in cnf.clauses]
+        runs = []
+        for bulk in (True, False):
+            if bulk:
+                backend = S.solve_instance(cnf)
+            else:
+                backend = SatSolver()
+                backend.reserve(cnf.num_vars)
+                for cl in cnf.clauses:
+                    backend.add_clause(cl)
+            models = []
+            while len(models) < 40 and backend.solve(S.size_assumptions(vt, n)):
+                model = backend.model()
+                models.append(model)
+                rows = S.decode_model(model, vt).rows
+                backend.add_clause(S.blocking_clause(model, vt, rows))
+            runs.append((models, backend.stats))
+        assert runs[0] == runs[1]
+        assert runs[0][0]
+        assert cnf.clauses == before
+
+
 def test_tri_unsat_at_1_matches_brute_force(tri):
     loop = S.closed_loop(tri.plant, tri.supervisor)
     found = False
@@ -398,6 +425,14 @@ def test_parse_dimacs_rejects_bad_clauses():
         S.parse_dimacs("p cnf 2 1\n1 2 -1 0\n")
     with pytest.raises(ValueError, match="outside"):
         S.parse_dimacs("p cnf 2 1\n1 -3 0\n")
+    with pytest.raises(ValueError, match="repeated"):
+        S.parse_dimacs("p cnf 1 1\n1 1 0\n")
+    with pytest.raises(ValueError, match="repeated"):
+        S.parse_dimacs("p cnf 2 1\n-2 1 -2 0\n")
+    with pytest.raises(ValueError, match="negative"):
+        S.parse_dimacs("p cnf -3 0\n")
+    with pytest.raises(ValueError, match="negative"):
+        S.parse_dimacs("p cnf 2 -1\n")
     assert S.parse_dimacs("p cnf 2 1\n1 -2 0\n").clauses == [[1, -2]]
 
 

@@ -9,8 +9,7 @@ defeating every such attacker.
 from .automata import (Alphabet, AutomatonError, CompleteDFA, DualMarkedDFA,
                        PartialDFA, accepts, canonical_key, complete,
                        dual_marked_product, is_total, language_equal,
-                       reachable_states, strip_dump, sync_product, to_dot,
-                       totalize)
+                       reachable_states, sync_product, to_dot, totalize)
 from .control import (AttackConstraint, ControlConstraint, DamageReport,
                       Supervisor, Violation, check_supervisor, closed_loop,
                       control_command, validate_damage)

@@ -5,7 +5,8 @@ each observable transition, build the generalized product of plant,
 annotated supervisor and damage automaton (with success/failure verdict
 sinks for attack moves), project events down to what the attacker sees,
 determinize with epsilon closure, and label each knowledge set with the
-attack events that are guaranteed to succeed from it.
+attack events that are guaranteed to succeed from it.  The verdict stops
+the determinization at the first labelled knowledge set.
 
 The attacker sees a pair per supervisor-observable event: the event itself
 when it is attacker-observable (else an epsilon placeholder) and the fresh
@@ -140,10 +141,12 @@ def project_attacker_view(gp: GPAutomaton) -> AttackerView:
 
 @dataclass(frozen=True)
 class SubsetAutomaton:
-    """Determinized attacker view.  ``labels[i]`` is the set of attack
-    events that succeed from knowledge set ``i``: some member state turns
-    the event into damage and no other member turns it into a detected
-    failure."""
+    """Determinized attacker view, numbered in breadth-first order.
+    ``labels[i]`` is the set of attack events that succeed from knowledge
+    set ``i``: some member state turns the event into damage and no other
+    member turns it into a detected failure.  A construction stopped at
+    its first labelled set holds a prefix of the full one's ``subsets``,
+    ``trans`` (in insertion order) and ``labels``."""
 
     subsets: tuple[frozenset[int], ...]
     trans: dict        # (subset index, ObsEvent) -> subset index
@@ -163,9 +166,12 @@ def _closure(states, eps) -> frozenset[int]:
     return frozenset(seen)
 
 
-def determinize_and_label(view: AttackerView, gp: GPAutomaton) -> SubsetAutomaton:
+def determinize_and_label(view: AttackerView, gp: GPAutomaton,
+                          stop_at_label: bool = False) -> SubsetAutomaton:
     """Subset construction with epsilon closure, in breadth-first order,
-    plus the per-subset attack labels."""
+    labelling each knowledge set as it is discovered.  With
+    ``stop_at_label`` the construction ends at the first set with a
+    non-empty label, which is then the last set of the result."""
     def successors(cur):
         targets: dict[ObsEvent, set[int]] = {}
         for v in cur:
@@ -174,16 +180,25 @@ def determinize_and_label(view: AttackerView, gp: GPAutomaton) -> SubsetAutomato
         for obs in sorted(targets, key=lambda o: (o[0] or "", o[1])):
             yield obs, _closure(targets[obs], view.eps)
 
-    order, trans = explore(_closure([view.initial], view.eps), successors)
-    labels = []
-    for cur in order:
-        lab = set()
-        for ev in gp.attack_events:
-            success = any(gp.attack.get((v, ev)) is True for v in cur)
-            failure = any(gp.attack.get((v, ev)) is False for v in cur)
-            if success and not failure:
-                lab.add(ev)
-        labels.append(frozenset(lab))
+    # per attack event, the cores where firing it succeeds and fails; an
+    # event without a success core can label no set
+    success: dict[str, set[int]] = {}
+    failure: dict[str, set[int]] = {}
+    for (v, ev), ok in gp.attack.items():
+        (success if ok else failure).setdefault(ev, set()).add(v)
+    verdict_sets = [(ev, success[ev], failure.get(ev, set()))
+                    for ev in gp.attack_events if ev in success]
+    labels: list[frozenset[str]] = []
+
+    def label(cur) -> bool:
+        lab = frozenset(ev for ev, hit, miss in verdict_sets
+                        if not hit.isdisjoint(cur) and miss.isdisjoint(cur))
+        labels.append(lab)
+        return stop_at_label and bool(lab)
+
+    # ``explore`` calls ``label`` once per set in discovery order
+    order, trans = explore(_closure([view.initial], view.eps), successors,
+                           stop=label)
     return SubsetAutomaton(tuple(order), trans, tuple(labels))
 
 
@@ -197,45 +212,50 @@ class AttackWitness:
 
 @dataclass(frozen=True)
 class AttackVerdict:
+    """Outcome of :func:`non_attackable`.  ``subset_automaton`` is the
+    construction the verdict was read from: on an attackable verdict it
+    stops at the witness set (its last set), on a non-attackable one it is
+    complete.  ``product`` holds the cores its knowledge sets index."""
+
     non_attackable: bool
     witness: Optional[AttackWitness] = None
     subset_automaton: Optional[SubsetAutomaton] = None
-    product: Optional[GPAutomaton] = None  # the cores ``subset_automaton`` indexes
+    product: Optional[GPAutomaton] = None
 
 
 def non_attackable(g: PartialDFA, s: Supervisor, h: PartialDFA,
                    ac: AttackConstraint, validate: bool = True) -> AttackVerdict:
     """True verdict iff every reachable attacker knowledge set has an empty
     attack label.  On the false verdict, the witness carries a shortest
-    observation sequence to a labeled set and the labeled event."""
+    observation sequence to the first labelled set in breadth-first order
+    and the least event of its label."""
     if validate:
         report = validate_damage(h, closed_loop(g, s), plant=g)
         if not report.ok:
             raise AutomatonError("; ".join(report.problems))
     gp = generalized_product(g, annotate_supervisor(s), h, ac)
-    sub = determinize_and_label(project_attacker_view(gp), gp)
+    sub = determinize_and_label(project_attacker_view(gp), gp,
+                                stop_at_label=True)
+    last = len(sub.subsets) - 1
+    if not sub.labels[last]:
+        return AttackVerdict(True, None, sub, gp)
 
     # transition insertion order follows the construction's breadth-first
     # search, so the first edge into a subset lies on a shortest path
     parents: dict[int, tuple[int, ObsEvent]] = {}
     for (src, obs), dst in sub.trans.items():
-        if dst != sub.initial:
-            parents.setdefault(dst, (src, obs))
-    for i, lab in enumerate(sub.labels):
-        if lab:
-            path = []
-            cur = i
-            while cur != sub.initial:
-                src, obs = parents[cur]
-                path.append(obs)
-                cur = src
-            path.reverse()
-            subset = sub.subsets[i]
-            witness = AttackWitness(tuple(path), subset,
-                                    tuple(gp.names[v] for v in sorted(subset)),
-                                    min(lab))
-            return AttackVerdict(False, witness, sub, gp)
-    return AttackVerdict(True, None, sub, gp)
+        parents.setdefault(dst, (src, obs))
+    path = []
+    cur = last
+    while cur != sub.initial:
+        cur, obs = parents[cur]
+        path.append(obs)
+    path.reverse()
+    subset = sub.subsets[last]
+    witness = AttackWitness(tuple(path), subset,
+                            tuple(gp.names[v] for v in sorted(subset)),
+                            min(sub.labels[last]))
+    return AttackVerdict(False, witness, sub, gp)
 
 
 @dataclass(frozen=True)

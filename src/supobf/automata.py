@@ -225,19 +225,6 @@ def complete(p: PartialDFA) -> CompleteDFA:
     return CompleteDFA(inner, p.n_states)
 
 
-def strip_dump(c: CompleteDFA) -> PartialDFA:
-    """Recover the partial automaton by deleting the dump state and all
-    transitions touching it."""
-    p = c.inner
-    keep = [q for q in range(p.n_states) if q != c.dump]
-    remap = {q: i for i, q in enumerate(keep)}
-    trans = {(remap[src], ev): remap[dst]
-             for (src, ev), dst in p.trans.items()
-             if src != c.dump and dst != c.dump}
-    names = tuple(p.names[q] for q in keep)
-    return PartialDFA(p.alphabet, names, trans, remap[p.initial], None)
-
-
 def totalize(p: PartialDFA, sink_name: str = "sink") -> PartialDFA:
     """Make the transition map total by adding a non-marked absorbing sink,
     preserving the original marked set.  Used for damage automata."""
@@ -266,7 +253,8 @@ def _merge_alphabets(a: Alphabet, b: Alphabet) -> Alphabet:
 
 
 def explore(start: Hashable,
-            successors: Callable[[Hashable], Iterable[tuple[Hashable, Hashable]]]
+            successors: Callable[[Hashable], Iterable[tuple[Hashable, Hashable]]],
+            stop: Optional[Callable[[Hashable], bool]] = None
             ) -> tuple[list, dict]:
     """Breadth-first exploration of the states reachable from ``start``.
 
@@ -276,10 +264,18 @@ def explore(start: Hashable,
     ``order[j]`` its target, inserted in the order the pairs were yielded.
     Products, subset automata and their renderings all inherit their
     numbering from this order.
+
+    ``stop``, when given, is called once on every state in discovery
+    order: on ``start``, then on each new target right after the edge that
+    discovered it is recorded.  The first true answer ends the exploration
+    there, so ``order`` ends with that state, ``trans`` ends with its
+    discovering edge, and both are prefixes of the full exploration.
     """
     index = {start: 0}
     order = [start]
     trans = {}
+    if stop is not None and stop(start):
+        return order, trans
     # ``order`` grows while it is walked, which makes it the queue
     for src, state in enumerate(order):
         for label, target in successors(state):
@@ -287,7 +283,11 @@ def explore(start: Hashable,
             if dst is None:
                 dst = index[target] = len(order)
                 order.append(target)
-            trans[(src, label)] = dst
+                trans[(src, label)] = dst
+                if stop is not None and stop(target):
+                    return order, trans
+            else:
+                trans[(src, label)] = dst
     return order, trans
 
 

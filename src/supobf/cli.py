@@ -14,7 +14,8 @@ import sys
 import time
 
 from .automata import AutomatonError, complete, dual_marked_product, to_dot
-from .attack import attackable_by_search, non_attackable, subset_to_dot
+from .attack import (attackable_by_search, determinize_and_label,
+                     non_attackable, project_attacker_view, subset_to_dot)
 from .control import closed_loop, validate_damage
 from .obfuscate import ObfuscationRequest, enumerate_instance, obfuscate
 from .problemfile import (ParseError, ProblemFile, emit_automaton_section,
@@ -74,8 +75,11 @@ def cmd_check(args) -> int:
     pf = _load(args)
     verdict = non_attackable(pf.plant, pf.supervisor, pf.damage, pf.attack)
     if args.dot:
+        # the verdict's construction may stop at its witness; draw it all
+        gp = verdict.product
+        sub = determinize_and_label(project_attacker_view(gp), gp)
         with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(subset_to_dot(verdict.subset_automaton, verdict.product))
+            fh.write(subset_to_dot(sub, gp))
     if verdict.non_attackable:
         print("non-attackable")
         return EXIT_OK

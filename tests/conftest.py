@@ -195,3 +195,45 @@ def random_attack_instance(rng: random.Random, max_states: int = 4,
         if report.ok:
             return plant, sup, damage, attack
     return None
+
+
+def supervisor_damage(rng: random.Random, sup: S.Supervisor,
+                      p_damage: float = 0.5) -> S.PartialDFA:
+    """Damage automaton shaped like the supervisor: a copy of it plus a
+    marked damaged sink and an unmarked safe sink.  Each event the
+    supervisor disables at a state leads to the damaged sink with
+    probability ``p_damage`` and to the safe sink otherwise, so the closed
+    loop never reaches the damaged sink and damage validation passes."""
+    aut = sup.automaton
+    events = aut.alphabet.events
+    k = aut.n_states
+    damaged, safe = k, k + 1
+    trans = {}
+    for x in range(k):
+        for ev in events:
+            dst = aut.step(x, ev)
+            if dst is None:
+                dst = damaged if rng.random() < p_damage else safe
+            trans[(x, ev)] = dst
+    for sink in (damaged, safe):
+        for ev in events:
+            trans[(sink, ev)] = sink
+    names = tuple(f"z{x}" for x in range(k)) + ("damaged", "safe")
+    return S.PartialDFA(aut.alphabet, names, trans, aut.initial,
+                        frozenset({damaged}))
+
+
+def random_damaged_instance(rng: random.Random, max_states: int = 4):
+    """A (plant, supervisor, damage, attack) instance over an alphabet with
+    at least one attackable event, its damage from
+    :func:`supervisor_damage`.  Far more of these draws are attackable
+    than of :func:`random_attack_instance`'s."""
+    alphabet = random_alphabet(rng, with_attack=True)
+    while not alphabet.attackable:
+        alphabet = random_alphabet(rng, with_attack=True)
+    constraint = S.ControlConstraint.from_alphabet(alphabet)
+    plant = random_plant(rng, alphabet, max_states)
+    sup = S.Supervisor(random_supervisor_automaton(rng, alphabet, constraint,
+                                                   max_states), constraint)
+    return (plant, sup, supervisor_damage(rng, sup),
+            S.AttackConstraint.from_alphabet(alphabet))

@@ -9,7 +9,8 @@ import pytest
 import supobf as S
 from supobf.attack import (annotate_supervisor, determinize_and_label,
                            generalized_product, project_attacker_view)
-from conftest import random_attack_instance
+from conftest import (load_fixture, random_attack_instance,
+                      random_damaged_instance)
 
 
 def permute_states(aut: S.PartialDFA, perm: list[int]) -> S.PartialDFA:
@@ -365,3 +366,64 @@ def test_subset_dot_highlights_labels(atk):
     sub = determinize_and_label(project_attacker_view(gp), gp)
     dot = S.subset_to_dot(sub, gp)
     assert "lightcoral" in dot and "attack: k" in dot
+
+
+def first_labelled_witness(full: S.SubsetAutomaton, gp: S.GPAutomaton):
+    """Witness read off a full construction: the labelled set of lowest
+    breadth-first index, reached through each set's first incoming edge;
+    None when no set is labelled."""
+    parents = {}
+    for (src, obs), dst in full.trans.items():
+        if dst != full.initial:
+            parents.setdefault(dst, (src, obs))
+    for i, lab in enumerate(full.labels):
+        if lab:
+            path = []
+            cur = i
+            while cur != full.initial:
+                cur, obs = parents[cur]
+                path.append(obs)
+            subset = full.subsets[i]
+            return S.AttackWitness(tuple(reversed(path)), subset,
+                                   tuple(gp.names[v] for v in sorted(subset)),
+                                   min(lab))
+    return None
+
+
+def test_early_stop_matches_full_construction():
+    fixtures = [load_fixture(name) for name in
+                ("atk", "example1", "example1_obfuscated", "perf", "single",
+                 "tri")]
+    instances = [(pf.plant, pf.supervisor, pf.damage, pf.attack)
+                 for pf in fixtures]
+    rng = random.Random(5150)
+    instances += [random_damaged_instance(rng, max_states=5)
+                  for _ in range(200)]
+    attackable = 0
+    for plant, sup, damage, attack in instances:
+        verdict = S.non_attackable(plant, sup, damage, attack)
+        gp = verdict.product
+        full = determinize_and_label(project_attacker_view(gp), gp)
+        early = verdict.subset_automaton
+        n = len(early.subsets)
+        assert early.subsets == full.subsets[:n]
+        assert early.labels == full.labels[:n]
+        early_trans = list(early.trans.items())
+        assert early_trans == list(full.trans.items())[:len(early_trans)]
+        expected = first_labelled_witness(full, gp)
+        assert verdict.witness == expected
+        assert verdict.non_attackable == (expected is None)
+        if verdict.non_attackable:
+            assert early == full
+        attackable += not verdict.non_attackable
+    assert attackable >= 30
+
+
+def test_verdict_construction_ends_at_the_witness(atk, example1):
+    for pf in (atk, example1):
+        verdict = S.non_attackable(pf.plant, pf.supervisor, pf.damage,
+                                   pf.attack)
+        sub = verdict.subset_automaton
+        assert sub.subsets[-1] == verdict.witness.subset
+        assert [bool(lab) for lab in sub.labels] == \
+            [False] * (len(sub.labels) - 1) + [True]

@@ -68,22 +68,6 @@ def test_complete_tri_supervisor(tri):
         assert S.accepts(tri.supervisor.automaton, string) == expect
 
 
-def test_strip_dump_round_trip(tri):
-    for p in (tri.plant, tri.supervisor.automaton):
-        back = S.strip_dump(S.complete(p))
-        assert back.names == p.names
-        assert back.trans == p.trans
-        assert back.initial == p.initial
-
-
-def test_strip_dump_unreachable_dump():
-    alph = simple_alphabet("a")
-    p = S.PartialDFA(alph, ("p0",), {(0, "a"): 0})
-    c = S.complete(p)
-    back = S.strip_dump(c)
-    assert back.n_states == 1 and back.trans == p.trans
-
-
 def test_complete_language_property():
     rng = random.Random(7)
     for _ in range(40):
@@ -92,8 +76,6 @@ def test_complete_language_property():
         c = S.complete(p)
         bound = p.n_states + 1
         assert marked_strings_upto(c.inner, bound) == strings_upto(p, bound)
-        back = S.strip_dump(c)
-        assert strings_upto(back, bound) == strings_upto(p, bound)
 
 
 def test_sync_product_idempotent():
@@ -281,3 +263,22 @@ def test_explore_order_and_transitions():
                                    ((1, "c"), 3), ((1, "a"), 2),
                                    ((2, "a"), 2), ((2, "b"), 0)]
     assert explore(7, lambda q: ()) == ([7], {})
+
+    # ``stop`` sees every state once, in discovery order, and ends the
+    # search right after the edge that discovered the first accepted one
+    calls.clear()
+    asked = []
+
+    def stop(state):
+        asked.append(state)
+        return state == "w"
+
+    early, early_trans = explore("s", successors, stop)
+    assert early == order and asked == order
+    assert calls == ["s", "u"]  # u's edge to t is never taken
+    assert list(early_trans.items()) == [((0, "b"), 1), ((0, "a"), 2),
+                                         ((1, "c"), 3)]
+    calls.clear()
+    assert explore("s", successors, lambda q: True) == (["s"], {})
+    assert calls == []
+    assert explore("s", successors, lambda q: False) == (order, trans)

@@ -1,0 +1,67 @@
+"""The benchmark's tracer (``perfbench/tracing.py``) times the pipeline by
+replacing these functions where their callers look them up, by name.  A
+renamed function, or a caller that stops going through the name, would
+drop its layer out of the traced results without an error, so these tests
+wrap the same names with counters and check that both entry points still
+call each of them."""
+
+import importlib
+from collections import Counter
+
+import supobf as S
+from supobf.sat import SatSolver
+
+attack_mod = importlib.import_module("supobf.attack")
+obfuscate_mod = importlib.import_module("supobf.obfuscate")
+
+ATTACK_NAMES = ("validate_damage", "closed_loop", "annotate_supervisor",
+                "generalized_product", "project_attacker_view",
+                "determinize_and_label", "non_attackable")
+OBFUSCATE_NAMES = ("validate_damage", "closed_loop", "dual_marked_product",
+                   "canonical_key", "encode", "solve_instance",
+                   "decode_model", "blocking_clause", "non_attackable",
+                   "obfuscate")
+
+
+def count_calls(monkeypatch) -> Counter:
+    """Wrap every traced name with a counter keyed ``module.name``."""
+    calls = Counter()
+
+    def wrap(key, fn):
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for mod, names in ((attack_mod, ATTACK_NAMES),
+                       (obfuscate_mod, OBFUSCATE_NAMES)):
+        short = mod.__name__.split(".")[-1]
+        for name in names:
+            monkeypatch.setattr(mod, name,
+                                wrap(f"{short}.{name}", getattr(mod, name)))
+    monkeypatch.setattr(SatSolver, "solve",
+                        wrap("SatSolver.solve", SatSolver.solve))
+    return calls
+
+
+def test_verify_calls_every_traced_name(monkeypatch, example1):
+    calls = count_calls(monkeypatch)
+    verdict = attack_mod.non_attackable(example1.plant, example1.supervisor,
+                                        example1.damage, example1.attack)
+    assert not verdict.non_attackable
+    assert set(calls) == {f"attack.{name}" for name in ATTACK_NAMES}
+
+
+def test_obfuscate_calls_every_traced_name(monkeypatch, example1):
+    calls = count_calls(monkeypatch)
+    result = obfuscate_mod.obfuscate(S.ObfuscationRequest(
+        example1.plant, example1.supervisor, example1.control,
+        example1.attack, example1.damage))
+    assert result.found
+    # candidates are verified without a second damage validation
+    expected = {f"obfuscate.{name}" for name in OBFUSCATE_NAMES}
+    expected |= {f"attack.{name}" for name in ATTACK_NAMES
+                 if name not in ("validate_damage", "closed_loop",
+                                 "non_attackable")}
+    expected.add("SatSolver.solve")
+    assert set(calls) == expected

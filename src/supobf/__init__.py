@@ -27,7 +27,7 @@ from .satenc import (CnfInstance, DecodedSupervisor, VarTable,
                      activation_clauses, blocking_clause,
                      controllability_clauses, decode_model, encode,
                      export_dimacs, parse_dimacs, separation_clauses,
-                     size_assumptions, solve_instance,
+                     size_assumptions, solve_instance, symmetry_clauses,
                      transition_function_clauses)
 
 __version__ = "0.1.0"

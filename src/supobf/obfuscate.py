@@ -2,7 +2,9 @@
 
 The search climbs candidate state sizes.  For each size it enumerates all
 behavior-preserving supervisors of exactly that reachable size (all-SAT
-with blocking clauses over the reachable transition function), runs the
+with blocking clauses over the transition function; the encoding's
+symmetry breaking admits one model per isomorphism class, numbered
+breadth-first as ``canonical_key`` numbers it), runs the
 non-attackability check on each, and returns the canonically smallest
 resilient candidate at the first size that has one.  Exhausting every
 smaller size is what makes the returned supervisor minimum-state.
@@ -18,9 +20,11 @@ size it stops at; a single instance at ``n_max`` would cost far more than
 an encoding per size when the minimum is far below ``n_max``.
 
 Blocking clauses stay in the solver across the sizes of an instance.
-That is sound: a blocked reachable transition function reaches the same
-rows at every later size, and it was yielded, or skipped as smaller, at
-its own size.
+That is sound: a model of size ``m`` is blocked on rows ``0..m-1``, whose
+edges stay inside those rows or lead to the dump, so a model that repeats
+them reaches no row past ``m - 1``; at every larger size the symmetry
+breaking makes every usable row reachable, so no model there repeats a
+blocked one.
 """
 
 from __future__ import annotations
@@ -69,46 +73,33 @@ class ObfuscationResult:
     truncated: bool = False
 
 
-@dataclass
-class EnumerationStats:
-    models: int = 0
-    truncated: bool = False
-
-
 def iter_size_candidates(backend: SatSolver, vt: VarTable, n: int,
-                         limit: Optional[int] = None,
-                         stats: Optional[EnumerationStats] = None
+                         limit: Optional[int] = None
                          ) -> Iterator[tuple[tuple, PartialDFA]]:
     """Stream ``(canonical key, supervisor)`` for the behavior-preserving
     supervisors of exact reachable size ``n``, one per isomorphism class,
     in solver order, from ``backend`` loaded with an encoding of at least
     ``n`` rows whose numbering is ``vt``.
 
-    Every solve runs under ``size_assumptions(vt, n)``.  Every model is
-    blocked on its reachable transition function before re-solving;
-    models whose reachable part is smaller than ``n`` are blocked but not
-    yielded (they were enumerated at their own size).  ``limit`` caps the
-    number of SAT models taken from the solver and must be at least 1.
+    Every solve runs under ``size_assumptions(vt, n)``, and every model is
+    one candidate: its rows ``0..n-1`` are all reachable, in canonical
+    order, so it decodes to states ``s0..s{n-1}``.  Each model is blocked
+    on those rows before re-solving.  ``limit`` caps the number of models
+    taken from the solver and must be at least 1; the enumeration counts
+    as truncated when it yields ``limit`` candidates.
     """
     if limit is not None and limit < 1:
         raise ValueError("the enumeration limit must be at least 1")
-    if stats is None:
-        stats = EnumerationStats()
+    if n > 1 and not vt.observable:
+        return  # no observable event reaches a second row
     assumptions = size_assumptions(vt, n)
-    seen = set()
-    while backend.solve(assumptions):
-        stats.models += 1
+    count = 0
+    while (limit is None or count < limit) and backend.solve(assumptions):
+        count += 1
         model = backend.model()
         decoded = decode_model(model, vt)
         backend.add_clause(blocking_clause(model, vt, decoded.rows))
-        if len(decoded.rows) == n:
-            key = canonical_key(decoded.automaton)
-            if key not in seen:
-                seen.add(key)
-                yield key, decoded.automaton
-        if limit is not None and stats.models >= limit:
-            stats.truncated = True
-            return
+        yield canonical_key(decoded.automaton), decoded.automaton
 
 
 def behavior_preserving_supervisors(plant: PartialDFA, sup_aut: PartialDFA,
@@ -125,11 +116,9 @@ def enumerate_instance(cnf: CnfInstance, vt: VarTable,
                        limit: Optional[int] = None):
     """:func:`behavior_preserving_supervisors` of exact size ``vt.n`` on an
     instance already encoded as ``(cnf, vt)``."""
-    stats = EnumerationStats()
-    found = sorted(iter_size_candidates(solve_instance(cnf), vt, vt.n, limit,
-                                        stats),
+    found = sorted(iter_size_candidates(solve_instance(cnf), vt, vt.n, limit),
                    key=lambda kc: kc[0])
-    return [c for _, c in found], stats.truncated
+    return [c for _, c in found], limit is not None and len(found) == limit
 
 
 def _add_solver_stats(total: dict, backend: SatSolver) -> None:
@@ -170,10 +159,9 @@ def obfuscate(req: ObfuscationRequest,
             rows = min(n_max, 2 * n - 1)
             cnf, vt = encode(rows, product, constraint)
             backend = solve_instance(cnf)
-        stats = EnumerationStats()
         row = SizeTrace(n, 0, 0, 0)
         for key, cand in iter_size_candidates(backend, vt, n,
-                                              req.enumeration_limit, stats):
+                                              req.enumeration_limit):
             row.candidates += 1
             candidate = Supervisor(cand, constraint)
             row.tested += 1
@@ -184,8 +172,8 @@ def obfuscate(req: ObfuscationRequest,
                 row.resilient += 1
                 if winner is None or key < winner[0]:
                     winner = (key, candidate)
-        solver_stats["models"] += stats.models
-        truncated = truncated or stats.truncated
+        solver_stats["models"] += row.candidates
+        truncated = truncated or row.candidates == req.enumeration_limit
         trace.append(row)
         if progress is not None:
             progress(row)

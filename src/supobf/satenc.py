@@ -15,15 +15,22 @@ Variables:
 * reachability variables ``r(i, y)``: lower bounds on reachability of the
   pair (candidate state ``i``, product state ``y``) in the synchronization
   of the candidate's completion with the product.
+* parent variables ``p(j, i)`` for rows ``0 <= i < j < n``: ``i`` is the
+  smallest row with an edge into ``j``.
 * row-activation variables ``u(j)`` for rows ``1 <= j < n``: "row ``j``
   is usable".  Row 0 is always live; without an observable event no
-  other row is reachable and none are allocated.  Solving under
-  ``size_assumptions(vt, m)`` restricts one ``n``-row instance to the
-  rows ``0..m-1``, so several sizes of a climb share one solver.  Left
-  free, ``u(j) = true`` satisfies every clause that mentions it, so the
-  instance's projection onto the ``t`` and ``r`` variables is that of
-  the plain encoding; fixing every ``u(j)`` true gives its models
-  exactly.
+  other row is reachable and no ``p`` or ``u`` variable is allocated.
+  Solving under ``size_assumptions(vt, m)`` restricts one ``n``-row
+  instance to the rows ``0..m-1``, so several sizes of a climb share one
+  solver.
+
+The symmetry-breaking clauses admit only the breadth-first numbering
+that ``canonical_key`` uses, so projected onto the transition variables
+an instance has one model per isomorphism class: with ``u`` left free,
+one per supervisor class of at most ``n`` reachable states, ``u(j)``
+holding exactly on the rows reached, which form a prefix; under
+``size_assumptions(vt, m)``, one per class of exactly ``m`` reachable
+states.
 
 Clause groups:
 
@@ -35,7 +42,11 @@ Clause groups:
   no dump row on A-marked product states, no live row on B-marked ones;
 * activation clauses: a disabled row has no reachable pair
   (``¬r(j, y) ∨ u(j)``) and only self-loops (``u(j) ∨ t(j, e, j)``), so
-  ``¬u(j)`` fixes the row by propagation alone.
+  ``¬u(j)`` fixes the row by propagation alone;
+* symmetry-breaking clauses (Ulyantsev, Zakirzyanov & Shalyto, LATA
+  2015, for the encoding of Heule & Verwer, ICGI 2010): a usable row has
+  a parent, parents are monotone in the row, and siblings are ordered by
+  the smallest event on their edges from the parent.
 """
 
 from __future__ import annotations
@@ -67,8 +78,9 @@ class VarTable:
 
     Transition variables are allocated first (row, then alphabet order,
     then successor), reachability variables after (row, then product-state
-    order), row-activation variables last (row order), so emitted DIMACS
-    files are reproducible.
+    order), then parent variables (child row, then parent row), and
+    row-activation variables last (row order), so emitted DIMACS files are
+    reproducible.
     """
 
     def __init__(self, n: int, alphabet, constraint: ControlConstraint,
@@ -92,10 +104,12 @@ class VarTable:
                     nxt += 1
         self._r_base = nxt
         nxt += (n + 1) * num_product_states
-        # u(j) for rows 1..n-1; without an observable event no row past 0
-        # is reachable, and the table allocates none
-        self._u_base = nxt - 1
+        # p(j, i) and u(j) for rows 1..n-1; without an observable event no
+        # row past 0 is reachable, and the table allocates neither
         self._u_rows = n - 1 if self.observable else 0
+        self._p_base = nxt
+        nxt += self._u_rows * (self._u_rows + 1) // 2
+        self._u_base = nxt - 1
         nxt += self._u_rows
         self.num_vars = nxt - 1
 
@@ -113,6 +127,11 @@ class VarTable:
             raise AutomatonError(f"r({i},{y}) out of range")
         return self._r_base + i * self.num_product_states + y
 
+    def parent_var(self, j: int, i: int) -> int:
+        if not (1 <= j <= self._u_rows and 0 <= i < j):
+            raise AutomatonError(f"p({j},{i}) out of range")
+        return self._p_base + j * (j - 1) // 2 + i
+
     def activation_var(self, j: int) -> int:
         if not 1 <= j <= self._u_rows:
             raise AutomatonError(f"u({j}) out of range")
@@ -126,6 +145,11 @@ class VarTable:
         for i in range(self.n + 1):
             for y in range(self.num_product_states):
                 yield i, y, self.reach_var(i, y)
+
+    def iter_parent_vars(self):
+        for j in range(1, self._u_rows + 1):
+            for i in range(j):
+                yield j, i, self.parent_var(j, i)
 
     def iter_activation_vars(self):
         for j in range(1, self._u_rows + 1):
@@ -218,14 +242,54 @@ def activation_clauses(vt: VarTable) -> list[Clause]:
     return out
 
 
+def symmetry_clauses(vt: VarTable) -> list[Clause]:
+    """Breadth-first numbering of the usable rows, over the observable
+    events in alphabet order (unobservable self-loops and the dump row do
+    not discover rows), for every row ``j >= 1`` and parent ``i < j``:
+
+    * ``p(j, i) → ∨_e t(i, e, j)`` and ``p(j, i) → ¬t(k, e, j)`` for
+      ``k < i``: a parent is the smallest row with an edge into ``j``;
+    * ``u(j) → ∨_i p(j, i)``: a usable row has a parent, so it is
+      discovered from a smaller row and the usable rows are the reachable
+      ones;
+    * ``t(i, e, j) → ∨_{k <= i} p(j, k)``: implied by the clauses above,
+      and kept because it propagates a bound on the parent from an edge;
+    * ``p(j + 1, i) → ∨_{k <= i} p(j, k)``: parents are monotone;
+    * ``p(j, i) ∧ t(i, e, j + 1) → ∨_{e' < e} t(i, e', j)``: ``i`` has an
+      edge into ``j + 1``, so it is that row's parent too, and the
+      smallest event from ``i`` to ``j`` comes before every event from
+      ``i`` to ``j + 1``.
+    """
+    out = []
+    obs = vt.observable
+    for j, u in vt.iter_activation_vars():
+        parents = [vt.parent_var(j, i) for i in range(j)]
+        out.append([-u] + parents)
+        for i, p in enumerate(parents):
+            into = [vt.trans_var(i, e, j) for e in obs]
+            out.append([-p] + into)
+            out.extend([-t] + parents[:i + 1] for t in into)
+            out.extend([-p, -vt.trans_var(k, e, j)] for k in range(i) for e in obs)
+            if j + 1 < vt.n:
+                out.extend([-p, -vt.trans_var(i, e, j + 1)] + into[:x]
+                           for x, e in enumerate(obs))
+        if j + 1 < vt.n:
+            out.extend([-vt.parent_var(j + 1, i)] + parents[:i + 1]
+                       for i in range(j + 1))
+    return out
+
+
 def encode(n: int, product: DualMarkedDFA,
            constraint: ControlConstraint) -> tuple[CnfInstance, VarTable]:
     """Full instance: satisfiable iff an ``n``-bounded behavior-preserving
     supervisor over ``constraint`` exists; under ``size_assumptions(vt, m)``
-    iff an ``m``-bounded one exists."""
+    iff an ``m``-bounded one exists, and then its models, projected onto
+    the transition variables, are the breadth-first numbered supervisors
+    of exactly ``m`` reachable states, one per isomorphism class."""
     vt = VarTable(n, product.alphabet, constraint, product.n_states)
     clauses = (transition_function_clauses(vt) + controllability_clauses(vt)
-               + separation_clauses(vt, product) + activation_clauses(vt))
+               + separation_clauses(vt, product) + activation_clauses(vt)
+               + symmetry_clauses(vt))
     return CnfInstance(vt.num_vars, clauses), vt
 
 
@@ -294,13 +358,15 @@ def solve_instance(cnf: CnfInstance) -> SatSolver:
 def export_dimacs(cnf: CnfInstance, vt: Optional[VarTable] = None) -> str:
     """Standard DIMACS text; with a variable table, one comment line per
     allocated variable (``c t <row> <event> <row>`` / ``c r <row> <y>`` /
-    ``c u <row>``)."""
+    ``c p <row> <parent>`` / ``c u <row>``)."""
     lines = []
     if vt is not None:
         for i, e, j, v in vt.iter_trans_vars():
             lines.append(f"c t {i} {e} {j} = {v}")
         for i, y, v in vt.iter_reach_vars():
             lines.append(f"c r {i} {y} = {v}")
+        for j, i, v in vt.iter_parent_vars():
+            lines.append(f"c p {j} {i} = {v}")
         for j, v in vt.iter_activation_vars():
             lines.append(f"c u {j} = {v}")
     lines.append(f"p cnf {cnf.num_vars} {len(cnf.clauses)}")

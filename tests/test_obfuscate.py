@@ -4,19 +4,20 @@ import random
 import pytest
 
 import supobf as S
-from conftest import (all_supervisor_automata, random_attack_instance,
-                      strings_upto)
+from supobf.obfuscate import iter_size_candidates
+from conftest import (all_supervisor_automata, load_fixture,
+                      random_attack_instance, strings_upto)
 
 
-def exact_size_brute_force(pf, n):
+def exact_size_brute_force(plant, sup, constraint, n):
     """All n-state supervisor transition functions with exactly n reachable
     states that preserve the closed loop, keyed canonically."""
-    loop = S.closed_loop(pf.plant, pf.supervisor)
+    loop = S.closed_loop(plant, sup)
     out = {}
-    for cand in all_supervisor_automata(pf.plant.alphabet, pf.control, n):
+    for cand in all_supervisor_automata(plant.alphabet, constraint, n):
         if len(S.reachable_states(cand)) != n:
             continue
-        eq, _ = S.language_equal(S.sync_product(pf.plant, cand), loop)
+        eq, _ = S.language_equal(S.sync_product(plant, cand), loop)
         if eq:
             out[S.canonical_key(cand)] = cand
     return out
@@ -45,14 +46,35 @@ def test_supbp_single_state_fixture(single):
 
 
 def test_supbp_matches_brute_force(tri, single):
-    for pf, sizes in ((tri, (1, 2)), (single, (1, 2))):
-        for n in sizes:
-            expected = exact_size_brute_force(pf, n)
+    # the fixtures, then seeded draws, until 20 satisfiable sizes are
+    # compared; a size is compared while brute force has at most 4096
+    # transition functions to try
+    def cases():
+        for pf in (tri, single):
+            yield pf.plant, pf.supervisor, pf.control
+        rng = random.Random(4711)
+        for _ in range(200):
+            inst = random_attack_instance(rng, max_states=3)
+            if inst is not None:
+                yield inst[0], inst[1], inst[1].constraint
+
+    satisfiable = 0
+    for plant, sup, constraint in cases():
+        observable = [e for e in plant.alphabet.events
+                      if e in constraint.observable]
+        for n in (1, 2, 3):
+            if (n + 1) ** (n * len(observable)) > 4096:
+                break
+            expected = exact_size_brute_force(plant, sup, constraint, n)
             got, _ = S.behavior_preserving_supervisors(
-                pf.plant, pf.supervisor.automaton, pf.control, n)
-            assert {S.canonical_key(c) for c in got} == set(expected)
-            # one supervisor per isomorphism class
-            assert len(got) == len(expected)
+                plant, sup.automaton, constraint, n)
+            # each supervisor is one SAT model, so the model count equals
+            # the class count and every class comes exactly once
+            assert [S.canonical_key(c) for c in got] == sorted(expected)
+            satisfiable += bool(expected)
+        if satisfiable >= 20:
+            break
+    assert satisfiable >= 20
 
 
 def test_supbp_output_sorted_and_duplicate_free(tri, perf):
@@ -229,7 +251,6 @@ def test_shared_climb_matches_fresh_encodings():
     # one instance encoded at n_max and climbed by assumptions, blocking
     # clauses kept across sizes, yields the same classes at every size as
     # a fresh encoding of that size
-    from supobf.obfuscate import EnumerationStats, iter_size_candidates
     rng = random.Random(1618)
     n_max, limit = 3, 60
     compared = 0
@@ -244,16 +265,48 @@ def test_shared_climb_matches_fresh_encodings():
         cnf, vt = S.encode(n_max, product, constraint)
         backend = S.solve_instance(cnf)
         for n in range(1, n_max + 1):
-            stats = EnumerationStats()
-            shared = {key for key, _ in iter_size_candidates(
-                backend, vt, n, limit, stats)}
+            shared = [key for key, _ in iter_size_candidates(
+                backend, vt, n, limit)]
             fresh, truncated = S.behavior_preserving_supervisors(
                 plant, sup.automaton, constraint, n, limit)
-            if stats.truncated or truncated:
+            if len(shared) == limit or truncated:
                 continue
-            assert shared == {S.canonical_key(c) for c in fresh}
+            assert sorted(shared) == [S.canonical_key(c) for c in fresh]
             compared += 1
     assert compared >= 60
+
+
+def test_every_model_is_its_canonical_form():
+    # the symmetry breaking leaves one model per isomorphism class, numbered
+    # breadth-first as canonical_key numbers it: every candidate of size n
+    # reaches rows 0..n-1 in order, and no class comes twice
+    rng = random.Random(2911)
+    cases = [(pf.plant, pf.supervisor.automaton, pf.control)
+             for pf in map(load_fixture, ("example1", "example1_obfuscated",
+                                          "tri", "atk", "single", "perf"))]
+    while len(cases) < 36:
+        inst = random_attack_instance(rng, max_states=3)
+        if inst is not None:
+            cases.append((inst[0], inst[1].automaton, inst[1].constraint))
+    yielded = 0
+    for plant, sup_aut, constraint in cases:
+        product = S.dual_marked_product(S.complete(plant),
+                                        S.complete(sup_aut))
+        cnf, vt = S.encode(3, product, constraint)
+        backend = S.solve_instance(cnf)
+        events = plant.alphabet.events
+        for n in (1, 2, 3):
+            keys = []
+            for key, aut in iter_size_candidates(backend, vt, n, 150):
+                assert S.reachable_states(aut) == list(range(n))
+                assert aut.names == tuple(f"s{i}" for i in range(n))
+                assert key == (n, tuple(sorted(
+                    (i, events.index(e), j)
+                    for (i, e), j in aut.trans.items())))
+                keys.append(key)
+            assert len(set(keys)) == len(keys)
+            yielded += len(keys)
+    assert yielded >= 500
 
 
 @pytest.mark.parametrize("name, n_max, rows", [

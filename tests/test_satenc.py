@@ -184,6 +184,33 @@ def test_bulk_load_matches_clause_by_clause(tri, atk):
         assert cnf.clauses == before
 
 
+def test_parent_variables_follow_the_breadth_first_numbering(atk, perf):
+    # p(j, i) holds exactly when i is the smallest row with an edge into j:
+    # no other parent is consistent with a model's transitions; and at four
+    # rows, where monotone parents first matter, every model is numbered
+    # breadth-first
+    for pf in (atk, perf):
+        cnf, vt = S.encode(4, product_of(pf), pf.control)
+        backend = S.solve_instance(cnf)
+        size = S.size_assumptions(vt, 4)
+        models = 0
+        while models < 60 and backend.solve(size):
+            model = backend.model()
+            decoded = S.decode_model(model, vt)
+            assert S.reachable_states(decoded.automaton) == [0, 1, 2, 3]
+            fixed = size + [v if model[v] else -v
+                            for _, _, _, v in vt.iter_trans_vars()]
+            for j, i, p in vt.iter_parent_vars():
+                parent = min(k for k in range(j) for e in vt.observable
+                             if model[vt.trans_var(k, e, j)])
+                assert model[p] == (i == parent)
+                if i != parent:
+                    assert not backend.solve(fixed + [p])
+            backend.add_clause(S.blocking_clause(model, vt, decoded.rows))
+            models += 1
+        assert models == 60
+
+
 def test_tri_unsat_at_1_matches_brute_force(tri):
     loop = S.closed_loop(tri.plant, tri.supervisor)
     found = False
@@ -306,6 +333,11 @@ def test_constant_folding_matches_explicit_encoding():
     prod = S.dual_marked_product(S.complete(plant), S.complete(sup_aut))
     n = 2
     cnf, vt = S.encode(n, prod, constraint)
+    # the groups that fold constants, without the symmetry-breaking
+    # clauses: those keep one row numbering per class, which the explicit
+    # encoding has no counterpart for
+    folded = (S.transition_function_clauses(vt) + S.controllability_clauses(vt)
+              + S.separation_clauses(vt, prod) + S.activation_clauses(vt))
 
     def count_models(clauses, num_vars, project):
         solver = SatSolver()
@@ -375,7 +407,7 @@ def test_constant_folding_matches_explicit_encoding():
                              for y in range(prod.n_states)]
     proj_exp = shared_exp + [r_of[(i, y)] for i in range(n + 1)
                              for y in range(prod.n_states)]
-    models_opt = count_models(cnf.clauses, cnf.num_vars, proj_opt)
+    models_opt = count_models(folded, cnf.num_vars, proj_opt)
     models_exp = count_models(clauses, nxt - 1, proj_exp)
     assert len(models_opt) == len(models_exp)
 
@@ -400,6 +432,7 @@ def test_dimacs_round_trip_and_external_solve(tri):
     text = S.export_dimacs(cnf, vt)
     assert f"c t 0 a 0 = {vt.trans_var(0, 'a', 0)}" in text
     assert f"c r 0 0 = {vt.reach_var(0, 0)}" in text
+    assert f"c p 1 0 = {vt.parent_var(1, 0)}" in text
     parsed = S.parse_dimacs(text)
     assert parsed.num_vars == cnf.num_vars
     assert parsed.clauses == cnf.clauses

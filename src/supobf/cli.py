@@ -99,8 +99,6 @@ def cmd_synth_bp(args) -> int:
     # enumerate first: an input error then leaves no DIMACS file behind
     sups, truncated = enumerate_instance(cnf, vt, args.limit)
     if args.dimacs:
-        # the plain size-n encoding: every row usable
-        cnf.clauses += [[v] for _, v in vt.iter_activation_vars()]
         with open(args.dimacs, "w", encoding="utf-8") as fh:
             fh.write(export_dimacs(cnf, vt))
     print(f"# {len(sups)} behavior-preserving supervisor(s) of size {args.n}"

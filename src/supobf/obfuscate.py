@@ -9,22 +9,18 @@ non-attackability check on each, and returns the canonically smallest
 resilient candidate at the first size that has one.  Exhausting every
 smaller size is what makes the returned supervisor minimum-state.
 
-The SAT instance grows with the climb.  Size 1 gets an instance of one
-row; a size past the loaded instance gets a new one of ``min(n_max,
-2n - 1)`` rows, which covers as many sizes again as the climb has already
-passed (sizes 1, 2-3, 4-7, ...).  Each size of an instance is an
-assumption set over the encoding's row-activation literals, so learned
-clauses carry over between the sizes that share it.  A call thus encodes
-about log2(n_max) instances, none with more than twice the rows of the
-size it stops at; a single instance at ``n_max`` would cost far more than
-an encoding per size when the minimum is far below ``n_max``.
+One solver serves the whole climb, and it grows with it: reaching size
+``n``, the search encodes row ``n - 1`` and loads its clauses into the
+solver, which then holds exactly ``n`` rows, and enumerates under the
+single assumption ``c(n)``, the capacity literal of that size.  Learned
+clauses carry over from one size to the next, and no row is loaded that
+the climb does not reach.
 
-Blocking clauses stay in the solver across the sizes of an instance.
-That is sound: a model of size ``m`` is blocked on rows ``0..m-1``, whose
-edges stay inside those rows or lead to the dump, so a model that repeats
-them reaches no row past ``m - 1``; at every larger size the symmetry
-breaking makes every usable row reachable, so no model there repeats a
-blocked one.
+Blocking clauses stay in the solver too.  That is sound: a model of size
+``m`` is blocked on rows ``0..m-1``, whose edges stay inside those rows
+or lead to the dump, so a model that repeats them reaches no row past
+``m - 1``; at every larger size the symmetry breaking makes every row
+reachable, so no model there repeats a blocked one.
 """
 
 from __future__ import annotations
@@ -39,7 +35,7 @@ from .control import (AttackConstraint, ControlConstraint, Supervisor,
 from .attack import non_attackable
 from .sat import SatSolver
 from .satenc import (CnfInstance, VarTable, blocking_clause, decode_model, encode,
-                     size_assumptions, solve_instance)
+                     solve_instance)
 
 
 @dataclass
@@ -73,26 +69,24 @@ class ObfuscationResult:
     truncated: bool = False
 
 
-def iter_size_candidates(backend: SatSolver, vt: VarTable, n: int,
+def iter_size_candidates(backend: SatSolver, vt: VarTable,
                          limit: Optional[int] = None
                          ) -> Iterator[tuple[tuple, PartialDFA]]:
     """Stream ``(canonical key, supervisor)`` for the behavior-preserving
-    supervisors of exact reachable size ``n``, one per isomorphism class,
-    in solver order, from ``backend`` loaded with an encoding of at least
-    ``n`` rows whose numbering is ``vt``.
+    supervisors of exact reachable size ``vt.n``, one per isomorphism
+    class, in solver order, from ``backend`` loaded with every row of
+    ``vt``.
 
-    Every solve runs under ``size_assumptions(vt, n)``, and every model is
-    one candidate: its rows ``0..n-1`` are all reachable, in canonical
-    order, so it decodes to states ``s0..s{n-1}``.  Each model is blocked
-    on those rows before re-solving.  ``limit`` caps the number of models
-    taken from the solver and must be at least 1; the enumeration counts
-    as truncated when it yields ``limit`` candidates.
+    Every solve runs under the assumption ``c(vt.n)``, and every model is
+    one candidate: its rows are all reachable, in canonical order, so it
+    decodes to states ``s0..s{n-1}``.  Each model is blocked on those rows
+    before re-solving.  ``limit`` caps the number of models taken from the
+    solver and must be at least 1; the enumeration counts as truncated
+    when it yields ``limit`` candidates.
     """
     if limit is not None and limit < 1:
         raise ValueError("the enumeration limit must be at least 1")
-    if n > 1 and not vt.observable:
-        return  # no observable event reaches a second row
-    assumptions = size_assumptions(vt, n)
+    assumptions = [vt.capacity_var(vt.n)]
     count = 0
     while (limit is None or count < limit) and backend.solve(assumptions):
         count += 1
@@ -116,14 +110,9 @@ def enumerate_instance(cnf: CnfInstance, vt: VarTable,
                        limit: Optional[int] = None):
     """:func:`behavior_preserving_supervisors` of exact size ``vt.n`` on an
     instance already encoded as ``(cnf, vt)``."""
-    found = sorted(iter_size_candidates(solve_instance(cnf), vt, vt.n, limit),
+    found = sorted(iter_size_candidates(solve_instance(cnf), vt, limit),
                    key=lambda kc: kc[0])
     return [c for _, c in found], limit is not None and len(found) == limit
-
-
-def _add_solver_stats(total: dict, backend: SatSolver) -> None:
-    for k in ("decisions", "conflicts", "propagations", "solves"):
-        total[k] += backend.stats[k]
 
 
 def obfuscate(req: ObfuscationRequest,
@@ -146,21 +135,16 @@ def obfuscate(req: ObfuscationRequest,
 
     product = dual_marked_product(complete(plant), complete(sup_aut))
     trace: list[SizeTrace] = []
-    solver_stats = {"decisions": 0, "conflicts": 0, "propagations": 0,
-                    "solves": 0, "models": 0}
-    tested_total = 0
+    tested_total = models = 0
     truncated = False
     winner = None  # (canonical key, supervisor)
-    backend, rows = None, 0  # the loaded instance and its row count
+    vt = VarTable(0, product.alphabet, constraint, product.n_states)
+    backend = None  # the one solver, created with row 0
     for n in range(1, n_max + 1):
-        if n > rows:
-            if backend is not None:
-                _add_solver_stats(solver_stats, backend)
-            rows = min(n_max, 2 * n - 1)
-            cnf, vt = encode(rows, product, constraint)
-            backend = solve_instance(cnf)
+        cnf, _ = encode(n, product, constraint, vt)  # adds row n - 1
+        backend = solve_instance(cnf, backend)
         row = SizeTrace(n, 0, 0, 0)
-        for key, cand in iter_size_candidates(backend, vt, n,
+        for key, cand in iter_size_candidates(backend, vt,
                                               req.enumeration_limit):
             row.candidates += 1
             candidate = Supervisor(cand, constraint)
@@ -172,14 +156,14 @@ def obfuscate(req: ObfuscationRequest,
                 row.resilient += 1
                 if winner is None or key < winner[0]:
                     winner = (key, candidate)
-        solver_stats["models"] += row.candidates
+        models += row.candidates
         truncated = truncated or row.candidates == req.enumeration_limit
         trace.append(row)
         if progress is not None:
             progress(row)
         if winner is not None:
             break
-    _add_solver_stats(solver_stats, backend)
+    solver_stats = dict(backend.stats, models=models)
     if winner is None:
         return ObfuscationResult(False, None, None, n_max, tested_total, trace,
                                  solver_stats, truncated)

@@ -9,9 +9,12 @@ The backend contract expected by the encoding layer:
   checks, so every clause must be well formed: distinct non-zero
   literals over the reserved variables ``1..num_vars``, no literal
   together with its negation (what ``parse_dimacs`` enforces and the
-  encoder produces).  A clause of two or more literals none of which is
-  assigned at the root is attached as a copy; the others (unit clauses,
-  clauses touching a root value) go through ``add_clause``;
+  encoder produces).  It folds the root values in as ``add_clause``
+  does: a clause a root value satisfies is skipped, literals false at
+  the root are dropped, and what is left is attached as a copy, or, a
+  single literal, assigned at the root and propagated.  A solver that
+  has solved before takes new clauses this way too, after ``reserve``
+  for their new variables;
 * ``solve(assumptions=())``: returns True/False.  The assumptions are
   literals that hold for this call only (MiniSat style, Eén & Sörensson,
   "An Extensible SAT-solver", SAT 2003): each one takes its own decision
@@ -168,20 +171,27 @@ class SatSolver:
         ``solve`` kept."""
         self._backtrack(0)
         value = self._value
+        value_of = value.__getitem__
         watches = self._watches
-        root = self._trail  # every assignment on it is at the root here
         for cl in clauses:
-            if len(cl) > 1:
-                for lit in cl if root else ():
-                    if value[lit] != _UNSET:
-                        break
-                else:
-                    clause = cl[:]
-                    watches[clause[0]].append(clause)
-                    watches[clause[1]].append(clause)
-                    continue
-            # a unit clause, or one with a root value: add_clause folds it in
-            self.add_clause(cl)
+            # every assigned literal is at the root here; fold the values
+            # in as add_clause does
+            if not any(map(value_of, cl)):
+                clause = cl[:]
+            elif _TRUE in map(value_of, cl):
+                continue  # satisfied at the root
+            else:
+                clause = [lit for lit in cl if value[lit] == _UNSET]
+            if len(clause) > 1:
+                watches[clause[0]].append(clause)
+                watches[clause[1]].append(clause)
+            elif clause:
+                # a unit: it holds from the root on, as add_clause has it
+                self._assign(clause[0], None)
+                if self._propagate() is not None:
+                    self._unsat = True
+            else:
+                self._unsat = True
 
     def _attach(self, clause: list[int]) -> None:
         self._watches[clause[0]].append(clause)

@@ -1,52 +1,63 @@
 """CNF encoding of bounded behavior-preserving supervisor existence.
 
 The encoding searches for an ``n``-state supervisor (plus an implicit dump
-state with index ``n``) whose completion separates the two marked
+state, the row ``DUMP``) whose completion separates the two marked
 languages of a dual-marked product automaton, while satisfying the
 controllability and observability constraints of the target control
 constraint.
 
+An instance grows one row at a time: :meth:`VarTable.add_row` allocates
+the variables of row ``k``, and the clause groups below give the clauses
+row ``k`` adds, over those variables and the earlier rows' only.  So a
+solver loaded with rows ``0..k-1`` takes row ``k`` as a batch of new
+clauses, and :func:`encode` with a table extends it; without one it
+builds rows ``0..n-1`` in the same way.
+
 Variables:
 
-* transition variables ``t(i, e, j)``: candidate state ``i`` moves to
-  ``j`` on event ``e``.  Only observable events at non-dump rows are real
-  solver variables; unobservable events are compile-time self-loop
-  constants and the dump row is constantly absorbing.
+* transition variables ``t(i, e, j)``: candidate row ``i`` moves to row
+  ``j`` or to ``DUMP`` on event ``e``.  Only observable events at rows
+  other than the dump are real solver variables; unobservable events are
+  compile-time self-loop constants and the dump row is constantly
+  absorbing.  Row ``k`` brings ``t(k, e, j)`` for ``j`` in ``0..k`` and
+  ``DUMP``, and the new target column ``t(i, e, k)`` for ``i < k``.
 * reachability variables ``r(i, y)``: lower bounds on reachability of the
-  pair (candidate state ``i``, product state ``y``) in the synchronization
-  of the candidate's completion with the product.
-* parent variables ``p(j, i)`` for rows ``0 <= i < j < n``: ``i`` is the
-  smallest row with an edge into ``j``.
-* row-activation variables ``u(j)`` for rows ``1 <= j < n``: "row ``j``
-  is usable".  Row 0 is always live; without an observable event no
-  other row is reachable and no ``p`` or ``u`` variable is allocated.
-  Solving under ``size_assumptions(vt, m)`` restricts one ``n``-row
-  instance to the rows ``0..m-1``, so several sizes of a climb share one
-  solver.
+  pair (candidate row ``i``, product state ``y``) in the synchronization
+  of the candidate's completion with the product.  The dump row's come
+  with row 0.
+* parent variables ``p(k, i)`` for ``i < k``: ``i`` is the smallest row
+  with an edge into ``k``.
+* capacity variables ``c(m)``, one per row, ``c(k + 1)`` coming with row
+  ``k``: "the instance has ``m`` rows".  The at-least-one successor
+  clauses of the instance's current size are guarded by it; row ``k``
+  retires ``c(k)`` with the unit clause ``¬c(k)``.  A grown instance is
+  solved under the assumption ``c(n)``; :func:`encode` without a table
+  asserts it as a unit clause.
 
 The symmetry-breaking clauses admit only the breadth-first numbering
-that ``canonical_key`` uses, so projected onto the transition variables
-an instance has one model per isomorphism class: with ``u`` left free,
-one per supervisor class of at most ``n`` reachable states, ``u(j)``
-holding exactly on the rows reached, which form a prefix; under
-``size_assumptions(vt, m)``, one per class of exactly ``m`` reachable
-states.
+that ``canonical_key`` uses, and every row must be reached, so projected
+onto the transition variables an ``n``-row instance under ``c(n)`` has
+one model per isomorphism class of supervisors with exactly ``n``
+reachable states.
 
-Clause groups:
+Clause groups, each for one row ``k``, in the order :func:`encode` emits
+them (unit clauses early, so that loading folds them into what follows):
 
-* transition-function clauses: per row, at-most-one (pairwise) and
-  at-least-one successor over ``j in [0, n]``;
-* controllability clauses: uncontrollable observable events must have a
-  non-dump successor;
-* separation clauses: reachability propagation from the initial pair,
-  no dump row on A-marked product states, no live row on B-marked ones;
-* activation clauses: a disabled row has no reachable pair
-  (``¬r(j, y) ∨ u(j)``) and only self-loops (``u(j) ∨ t(j, e, j)``), so
-  ``¬u(j)`` fixes the row by propagation alone;
+* controllability clauses: an uncontrollable observable event never
+  leads row ``k`` to the dump (``¬t(k, e, DUMP)``);
+* transition-function clauses: pairwise at-most-one over each row's
+  successors (the pairs with the new target ``k``, and row ``k``'s own),
+  the at-least-one successor clause of every row ``0..k`` over the
+  targets ``0..k`` and ``DUMP``, guarded by ``c(k + 1)``, and ``¬c(k)``;
+* separation clauses: row ``k`` on no B-marked product state, and with
+  row 0 the initial pair and no dump row on A-marked states; then
+  reachability propagation along the row pairs that involve ``k`` (with
+  row 0, the dump's), leaving out what those unit clauses decide;
 * symmetry-breaking clauses (Ulyantsev, Zakirzyanov & Shalyto, LATA
-  2015, for the encoding of Heule & Verwer, ICGI 2010): a usable row has
-  a parent, parents are monotone in the row, and siblings are ordered by
-  the smallest event on their edges from the parent.
+  2015, for the encoding of Heule & Verwer, ICGI 2010): row ``k`` has a
+  parent, and between rows ``k - 1`` and ``k`` parents are monotone and
+  siblings are ordered by the smallest event on their edges from the
+  parent.
 """
 
 from __future__ import annotations
@@ -59,6 +70,8 @@ from .control import ControlConstraint
 from .sat import BackendError, SatSolver
 
 Clause = list[int]
+
+DUMP = -1  # the row index of the dump state, in every table
 
 
 @dataclass
@@ -74,21 +87,24 @@ class CnfInstance:
 
 
 class VarTable:
-    """Variable numbering for one encoding instance.
+    """Variable numbering of an instance of ``n`` rows, grown by
+    :meth:`add_row`.
 
-    Transition variables are allocated first (row, then alphabet order,
-    then successor), reachability variables after (row, then product-state
-    order), then parent variables (child row, then parent row), and
-    row-activation variables last (row order), so emitted DIMACS files are
-    reproducible.
+    Each row's variables are allocated together, in the order the
+    module docstring lists them: the new target column (row, then
+    alphabet order), the row's own transition variables (alphabet order,
+    then successor ``0..k``, ``DUMP``), its reachability variables
+    (product-state order; with row 0 the dump's follow), its parent
+    variables (parent order) and its capacity variable.  Numbering
+    depends on the row count only, so a grown table numbers like a new
+    one and emitted DIMACS files are reproducible.
     """
 
     def __init__(self, n: int, alphabet, constraint: ControlConstraint,
                  num_product_states: int = 0):
-        if n < 1:
-            raise AutomatonError("state bound must be at least 1")
         constraint.check_events(alphabet)
-        self.n = n
+        self.n = 0
+        self.num_vars = 0
         self.alphabet = alphabet
         self.constraint = constraint
         self.num_product_states = num_product_states
@@ -96,200 +112,246 @@ class VarTable:
         self.unobservable = [e for e in alphabet.events
                              if e not in constraint.observable]
         self._t: dict[tuple[int, str, int], int] = {}
-        nxt = 1
-        for i in range(n):
-            for e in self.observable:
-                for j in range(n + 1):
-                    self._t[(i, e, j)] = nxt
-                    nxt += 1
-        self._r_base = nxt
-        nxt += (n + 1) * num_product_states
-        # p(j, i) and u(j) for rows 1..n-1; without an observable event no
-        # row past 0 is reachable, and the table allocates neither
-        self._u_rows = n - 1 if self.observable else 0
-        self._p_base = nxt
-        nxt += self._u_rows * (self._u_rows + 1) // 2
-        self._u_base = nxt - 1
-        nxt += self._u_rows
-        self.num_vars = nxt - 1
+        self._r: dict[int, int] = {}  # row -> r(row, 0)
+        self._p: dict[tuple[int, int], int] = {}
+        self._c: list[int] = []  # c(m) at m - 1
+        for _ in range(n):
+            self.add_row()
+
+    def _new(self) -> int:
+        self.num_vars += 1
+        return self.num_vars
+
+    def add_row(self) -> int:
+        """Allocate the variables of the next row and return its index."""
+        k = self.n
+        self.n += 1
+        for e in self.observable:
+            for i in range(k):
+                self._t[(i, e, k)] = self._new()
+        for e in self.observable:
+            for j in self.targets():
+                self._t[(k, e, j)] = self._new()
+        for i in (k, DUMP) if k == 0 else (k,):
+            self._r[i] = self.num_vars + 1
+            self.num_vars += self.num_product_states
+        for i in range(k):
+            self._p[(k, i)] = self._new()
+        self._c.append(self._new())
+        return k
+
+    def targets(self) -> list[int]:
+        """The successors a row can have: ``0..n-1``, then ``DUMP``."""
+        return [*range(self.n), DUMP]
 
     def trans_var(self, i: int, event: str, j: int) -> Union[int, bool]:
         """Variable index for t(i, event, j), or a boolean constant for the
-        unobservable rows and the dump row."""
-        if i == self.n:
-            return j == self.n
+        unobservable events and the dump row."""
+        if i == DUMP:
+            return j == DUMP
         if event not in self.constraint.observable:
             return i == j
         return self._t[(i, event, j)]
 
     def reach_var(self, i: int, y: int) -> int:
-        if not (0 <= i <= self.n and 0 <= y < self.num_product_states):
+        if i not in self._r or not 0 <= y < self.num_product_states:
             raise AutomatonError(f"r({i},{y}) out of range")
-        return self._r_base + i * self.num_product_states + y
+        return self._r[i] + y
 
     def parent_var(self, j: int, i: int) -> int:
-        if not (1 <= j <= self._u_rows and 0 <= i < j):
+        if (j, i) not in self._p:
             raise AutomatonError(f"p({j},{i}) out of range")
-        return self._p_base + j * (j - 1) // 2 + i
+        return self._p[(j, i)]
 
-    def activation_var(self, j: int) -> int:
-        if not 1 <= j <= self._u_rows:
-            raise AutomatonError(f"u({j}) out of range")
-        return self._u_base + j
+    def capacity_var(self, m: int) -> int:
+        if not 1 <= m <= self.n:
+            raise AutomatonError(f"c({m}) out of range")
+        return self._c[m - 1]
 
     def iter_trans_vars(self):
         for (i, e, j), v in self._t.items():
             yield i, e, j, v
 
     def iter_reach_vars(self):
-        for i in range(self.n + 1):
+        for i in self._r:
             for y in range(self.num_product_states):
-                yield i, y, self.reach_var(i, y)
+                yield i, y, self._r[i] + y
 
     def iter_parent_vars(self):
-        for j in range(1, self._u_rows + 1):
-            for i in range(j):
-                yield j, i, self.parent_var(j, i)
+        for (j, i), v in self._p.items():
+            yield j, i, v
 
-    def iter_activation_vars(self):
-        for j in range(1, self._u_rows + 1):
-            yield j, self.activation_var(j)
-
-
-def size_assumptions(vt: VarTable, n: int) -> list[int]:
-    """Assumptions that restrict the instance to rows ``0..n-1``:
-    ``u(j)`` for ``j < n`` and ``¬u(j)`` for ``j >= n``."""
-    if not 1 <= n <= vt.n:
-        raise AutomatonError(f"size {n} outside 1..{vt.n}")
-    return [v if j < n else -v for j, v in vt.iter_activation_vars()]
+    def iter_capacity_vars(self):
+        for m, v in enumerate(self._c, 1):
+            yield m, v
 
 
-def transition_function_clauses(vt: VarTable) -> list[Clause]:
-    """Per observable row: pairwise at-most-one and at-least-one successor,
-    making the completed candidate's map a total function."""
-    out = []
-    n = vt.n
-    for i in range(n):
+def transition_function_clauses(vt: VarTable, k: int) -> list[Clause]:
+    """Row ``k``'s share of a total successor function: the at-most-one
+    pairs with the new target ``k`` and among row ``k``'s successors, the
+    at-least-one successor clause of every row ``0..k`` guarded by
+    ``c(k + 1)``, and ``¬c(k)``, which retires the previous capacity."""
+    targets = [*range(k + 1), DUMP]
+    cap = -vt.capacity_var(k + 1)
+    amo, alo = [], []
+    for i in range(k + 1):
         for e in vt.observable:
-            row = [vt.trans_var(i, e, j) for j in range(n + 1)]
-            for a in range(len(row)):
-                for b in range(a + 1, len(row)):
-                    out.append([-row[a], -row[b]])
-            out.append(list(row))
-    return out
+            row = [vt.trans_var(i, e, j) for j in targets]
+            alo.append([cap] + row)
+            if i < k:  # the pairs with the new target
+                new = row[k]
+                amo.extend([-t, -new] for t in row if t != new)
+            else:
+                amo.extend([-row[a], -row[b]] for a in range(len(row))
+                           for b in range(a + 1, len(row)))
+    if k:
+        alo.append([-vt.capacity_var(k)])
+    return amo + alo
 
 
-def controllability_clauses(vt: VarTable) -> list[Clause]:
-    """Uncontrollable observable events need a live (non-dump) successor
-    in every row; unobservable ones are self-loop constants already."""
-    out = []
-    events = [e for e in vt.observable if e not in vt.constraint.controllable]
-    for i in range(vt.n):
-        for e in events:
-            out.append([vt.trans_var(i, e, j) for j in range(vt.n)])
-    return out
+def controllability_clauses(vt: VarTable, k: int) -> list[Clause]:
+    """Uncontrollable observable events never lead row ``k`` to the dump;
+    with the at-least-one clauses they have a live successor.
+    Unobservable ones are self-loop constants already."""
+    return [[-vt.trans_var(k, e, DUMP)] for e in vt.observable
+            if e not in vt.constraint.controllable]
 
 
-def separation_clauses(vt: VarTable, product: DualMarkedDFA) -> list[Clause]:
-    """Reachability propagation plus the two marking prohibitions.
+def separation_clauses(vt: VarTable, product: DualMarkedDFA,
+                       k: int) -> list[Clause]:
+    """Row ``k``'s reachability propagation plus the marking prohibitions.
 
-    For every candidate row pair (i, j), product edge y1 -e-> y2:
-    ``r(i,y1) ∧ t(i,e,j) → r(j,y2)``, with constant transition variables
-    folded away; then ``¬r(n, y)`` on A-marked states and ``¬r(i, y)`` for
-    live rows on B-marked states.
+    The unit clauses come first: ``¬r(k, y)`` on B-marked states, and with
+    row 0 the initial pair ``r(0, y0)`` and ``¬r(DUMP, y)`` on A-marked
+    states.  Then, for every row pair (i, j) that involves ``k`` (or, with
+    row 0, the dump) and product edge y1 -e-> y2: ``r(i,y1) ∧ t(i,e,j) →
+    r(j,y2)``, with constant transition variables folded away, and with
+    the marking units folded in: no clause from a pair they make
+    unreachable, and no target literal they make false.
     """
     if vt.num_product_states != product.n_states:
         raise AutomatonError("variable table sized for a different product")
-    n = vt.n
-    size = product.n_states
-    base = vt.reach_var(0, 0)  # r(i, y) is base + i * size + y
-    # per event, the (i, j, t) edges of the candidate's completion that
-    # can occur, as (r(i, 0), r(j, 0), t, i == j)
-    edges = {e: [(base + i * size, base + j * size, t, i == j)
-                 for i in range(n + 1) for j in range(n + 1)
-                 for t in (vt.trans_var(i, e, j),) if t is not False]
-             for e in product.alphabet.events}
-    trans = product.trans
-    out = [[base + product.initial]]
-    for y1 in range(size):
-        for e, triples in edges.items():
-            y2 = trans[(y1, e)]
-            loop = y1 == y2
-            for ri, rj, t, same in triples:
-                if same and loop:
-                    continue  # a tautology
-                if t is True:
-                    out.append([-(ri + y1), rj + y2])
-                else:
-                    out.append([-(ri + y1), -t, rj + y2])
-    for y in sorted(product.mark_a):
-        out.append([-(base + n * size + y)])
-    for y in sorted(product.mark_b):
-        for i in range(n):
-            out.append([-(base + i * size + y)])
-    return out
-
-
-def activation_clauses(vt: VarTable) -> list[Clause]:
-    """For every row ``j >= 1``: ``¬r(j, y) ∨ u(j)`` for each product state
-    and ``u(j) ∨ t(j, e, j)`` for each observable event."""
+    new = (0, DUMP) if k == 0 else (k,)
+    rows = [*range(k + 1), DUMP]
+    a, b = product.mark_a, product.mark_b
+    # the product states where the units make a row's pairs unreachable
+    gone = {i: a if i == DUMP else b for i in rows}
+    # per event, the edges of the candidate's completion that can occur
+    # and involve a new row, as (r(i, 0), r(j, 0), t, i == j, gone[j]),
+    # listed per kind of source state: from an A-marked state the live
+    # rows' only, from a B-marked one the dump's only, from others all
+    edges = {}
+    for e in product.alphabet.events:
+        kinds = ([], [], [])
+        for i in rows:
+            for j in rows:
+                t = vt.trans_var(i, e, j)
+                if t is not False and (i in new or j in new):
+                    edge = (vt.reach_var(i, 0), vt.reach_var(j, 0), t, i == j,
+                            gone[j])
+                    kinds[0 if i != DUMP else 1].append(edge)
+                    kinds[2].append(edge)
+        edges[e] = kinds
+    kind = [2] * product.n_states
+    for y in a:
+        kind[y] = 0
+    for y in b:
+        kind[y] = 1
+    # the unit clauses first: loaded at the root, they fold into the rest
     out = []
-    for j, u in vt.iter_activation_vars():
-        for y in range(vt.num_product_states):
-            out.append([-vt.reach_var(j, y), u])
-        for e in vt.observable:
-            out.append([u, vt.trans_var(j, e, j)])
+    if k == 0:
+        out.append([vt.reach_var(0, product.initial)])
+        out.extend([-vt.reach_var(DUMP, y)] for y in sorted(a))
+    out.extend([-vt.reach_var(k, y)] for y in sorted(b))
+    # the product's edges in (state, event) order
+    for (y1, e), y2 in product.trans.items():
+        loop = y1 == y2
+        for ri, rj, t, same, targets_gone in edges[e][kind[y1]]:
+            if same and loop:
+                continue  # a tautology
+            if y2 in targets_gone:
+                out.append([-(ri + y1)] if t is True else [-(ri + y1), -t])
+            elif t is True:
+                out.append([-(ri + y1), rj + y2])
+            else:
+                out.append([-(ri + y1), -t, rj + y2])
     return out
 
 
-def symmetry_clauses(vt: VarTable) -> list[Clause]:
-    """Breadth-first numbering of the usable rows, over the observable
-    events in alphabet order (unobservable self-loops and the dump row do
-    not discover rows), for every row ``j >= 1`` and parent ``i < j``:
+def symmetry_clauses(vt: VarTable, k: int) -> list[Clause]:
+    """Breadth-first numbering of the rows, over the observable events in
+    alphabet order (unobservable self-loops and the dump row do not
+    discover rows).  For row ``k >= 1`` and parent ``i < k``:
 
-    * ``p(j, i) → ∨_e t(i, e, j)`` and ``p(j, i) → ¬t(k, e, j)`` for
-      ``k < i``: a parent is the smallest row with an edge into ``j``;
-    * ``u(j) → ∨_i p(j, i)``: a usable row has a parent, so it is
-      discovered from a smaller row and the usable rows are the reachable
-      ones;
-    * ``t(i, e, j) → ∨_{k <= i} p(j, k)``: implied by the clauses above,
+    * ``∨_i p(k, i)``: row ``k`` has a parent, so it is discovered from a
+      smaller row and every row is reachable;
+    * ``p(k, i) → ∨_e t(i, e, k)`` and ``p(k, i) → ¬t(m, e, k)`` for
+      ``m < i``: a parent is the smallest row with an edge into ``k``;
+    * ``t(i, e, k) → ∨_{m <= i} p(k, m)``: implied by the clauses above,
       and kept because it propagates a bound on the parent from an edge;
-    * ``p(j + 1, i) → ∨_{k <= i} p(j, k)``: parents are monotone;
-    * ``p(j, i) ∧ t(i, e, j + 1) → ∨_{e' < e} t(i, e', j)``: ``i`` has an
-      edge into ``j + 1``, so it is that row's parent too, and the
-      smallest event from ``i`` to ``j`` comes before every event from
-      ``i`` to ``j + 1``.
+
+    and between rows ``j = k - 1`` and ``k``, for ``k >= 2``:
+
+    * ``p(j, i) ∧ t(i, e, k) → ∨_{e' < e} t(i, e', j)``: ``i`` has an
+      edge into ``k``, so it is that row's parent too, and the smallest
+      event from ``i`` to ``j`` comes before every event from ``i`` to
+      ``k``;
+    * ``p(k, i) → ∨_{m <= i} p(j, m)``: parents are monotone.
+
+    Without an observable event, ``p(k, i) → ⊥`` leaves row ``k`` no
+    parent, and an instance of two or more rows is unsatisfiable.
     """
-    out = []
+    if k == 0:
+        return []
     obs = vt.observable
-    for j, u in vt.iter_activation_vars():
-        parents = [vt.parent_var(j, i) for i in range(j)]
-        out.append([-u] + parents)
-        for i, p in enumerate(parents):
+    parents = [vt.parent_var(k, i) for i in range(k)]
+    out = [list(parents)]
+    for i, p in enumerate(parents):
+        into = [vt.trans_var(i, e, k) for e in obs]
+        out.append([-p] + into)
+        out.extend([-t] + parents[:i + 1] for t in into)
+        out.extend([-p, -vt.trans_var(m, e, k)] for m in range(i) for e in obs)
+    if k >= 2:
+        j = k - 1
+        earlier = [vt.parent_var(j, i) for i in range(j)]
+        for i, p in enumerate(earlier):
             into = [vt.trans_var(i, e, j) for e in obs]
-            out.append([-p] + into)
-            out.extend([-t] + parents[:i + 1] for t in into)
-            out.extend([-p, -vt.trans_var(k, e, j)] for k in range(i) for e in obs)
-            if j + 1 < vt.n:
-                out.extend([-p, -vt.trans_var(i, e, j + 1)] + into[:x]
-                           for x, e in enumerate(obs))
-        if j + 1 < vt.n:
-            out.extend([-vt.parent_var(j + 1, i)] + parents[:i + 1]
-                       for i in range(j + 1))
+            out.extend([-p, -vt.trans_var(i, e, k)] + into[:x]
+                       for x, e in enumerate(obs))
+        out.extend([-parents[i]] + earlier[:i + 1] for i in range(k))
     return out
 
 
-def encode(n: int, product: DualMarkedDFA,
-           constraint: ControlConstraint) -> tuple[CnfInstance, VarTable]:
-    """Full instance: satisfiable iff an ``n``-bounded behavior-preserving
-    supervisor over ``constraint`` exists; under ``size_assumptions(vt, m)``
-    iff an ``m``-bounded one exists, and then its models, projected onto
+def encode(n: int, product: DualMarkedDFA, constraint: ControlConstraint,
+           vt: Optional[VarTable] = None) -> tuple[CnfInstance, VarTable]:
+    """Clauses of the rows up to ``n``, with their table.
+
+    Without ``vt``: the whole ``n``-row instance, with the unit clause
+    ``c(n)``.  It is satisfiable iff an ``n``-bounded behavior-preserving
+    supervisor over ``constraint`` exists, and its models, projected onto
     the transition variables, are the breadth-first numbered supervisors
-    of exactly ``m`` reachable states, one per isomorphism class."""
-    vt = VarTable(n, product.alphabet, constraint, product.n_states)
-    clauses = (transition_function_clauses(vt) + controllability_clauses(vt)
-               + separation_clauses(vt, product) + activation_clauses(vt)
-               + symmetry_clauses(vt))
+    of exactly ``n`` reachable states, one per isomorphism class.
+
+    With ``vt``: the table is extended in place to ``n`` rows and only the
+    added rows' clauses are returned, without the unit ``c(n)``, so a
+    solver holding the table's earlier clauses can take them and grow
+    again later.  Solved under the assumption ``c(n)``, it then has the
+    models above.
+    """
+    if n < 1:
+        raise AutomatonError("state bound must be at least 1")
+    fresh = vt is None
+    if fresh:
+        vt = VarTable(0, product.alphabet, constraint, product.n_states)
+    clauses = []
+    while vt.n < n:
+        k = vt.add_row()
+        clauses += (controllability_clauses(vt, k)
+                    + transition_function_clauses(vt, k)
+                    + separation_clauses(vt, product, k)
+                    + symmetry_clauses(vt, k))
+    if fresh:
+        clauses.append([vt.capacity_var(n)])
     return CnfInstance(vt.num_vars, clauses), vt
 
 
@@ -309,14 +371,14 @@ def decode_model(model: dict[int, bool], vt: VarTable) -> DecodedSupervisor:
     events self-loop everywhere (the variable table carries the target
     constraint); only rows reachable from row 0 are kept.
     """
-    n = vt.n
+    targets = vt.targets()
     trans_full: dict[tuple[int, str], int] = {}
-    for i in range(n):
+    for i in range(vt.n):
         for e in vt.observable:
-            hits = [j for j in range(n + 1) if model[vt.trans_var(i, e, j)]]
+            hits = [j for j in targets if model[vt.trans_var(i, e, j)]]
             if len(hits) != 1:
                 raise BackendError(f"row ({i},{e}) has {len(hits)} successors")
-            if hits[0] < n:
+            if hits[0] != DUMP:
                 trans_full[(i, e)] = hits[0]
     rows, _ = explore(0, lambda i: ((e, trans_full[(i, e)])
                                     for e in vt.observable
@@ -337,19 +399,24 @@ def blocking_clause(model: dict[int, bool], vt: VarTable,
     """Clause forbidding every model that repeats this model's transition
     function on the given (reachable) candidate rows."""
     out = []
+    targets = vt.targets()
     for i in rows:
         for e in vt.observable:
-            hit = next(j for j in range(vt.n + 1) if model[vt.trans_var(i, e, j)])
+            hit = next(j for j in targets if model[vt.trans_var(i, e, j)])
             out.append(-vt.trans_var(i, e, hit))
     return out
 
 
-def solve_instance(cnf: CnfInstance) -> SatSolver:
-    """Load an instance into the in-tree solver in one pass at the root
-    (``SatSolver.load_clauses``, whose precondition every
-    :class:`CnfInstance` meets) and return it, ready for solve()/blocking.
+def solve_instance(cnf: CnfInstance,
+                   backend: Optional[SatSolver] = None) -> SatSolver:
+    """Load an instance into ``backend`` (by default a new in-tree solver)
+    in one pass at the root (``SatSolver.load_clauses``, whose
+    precondition every :class:`CnfInstance` meets) and return it, ready
+    for solve()/blocking.  A solver that has solved before takes the
+    clauses of new rows this way, its learned and blocking clauses kept.
     The solver copies the clauses, so ``cnf`` stays as it was."""
-    backend = SatSolver()
+    if backend is None:
+        backend = SatSolver()
     backend.reserve(cnf.num_vars)
     backend.load_clauses(cnf.clauses)
     return backend
@@ -358,7 +425,8 @@ def solve_instance(cnf: CnfInstance) -> SatSolver:
 def export_dimacs(cnf: CnfInstance, vt: Optional[VarTable] = None) -> str:
     """Standard DIMACS text; with a variable table, one comment line per
     allocated variable (``c t <row> <event> <row>`` / ``c r <row> <y>`` /
-    ``c p <row> <parent>`` / ``c u <row>``)."""
+    ``c p <row> <parent>`` / ``c cap <size>``, the dump row written as
+    ``-1``)."""
     lines = []
     if vt is not None:
         for i, e, j, v in vt.iter_trans_vars():
@@ -367,8 +435,8 @@ def export_dimacs(cnf: CnfInstance, vt: Optional[VarTable] = None) -> str:
             lines.append(f"c r {i} {y} = {v}")
         for j, i, v in vt.iter_parent_vars():
             lines.append(f"c p {j} {i} = {v}")
-        for j, v in vt.iter_activation_vars():
-            lines.append(f"c u {j} = {v}")
+        for m, v in vt.iter_capacity_vars():
+            lines.append(f"c cap {m} = {v}")
     lines.append(f"p cnf {cnf.num_vars} {len(cnf.clauses)}")
     for cl in cnf.clauses:
         lines.append(" ".join(str(l) for l in cl) + " 0")

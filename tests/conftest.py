@@ -108,6 +108,27 @@ def all_supervisor_automata(alphabet: S.Alphabet,
         yield S.PartialDFA(alphabet, tuple(f"s{i}" for i in range(n)), trans)
 
 
+def grown_climb(product: S.DualMarkedDFA, constraint: S.ControlConstraint,
+                n_max: int):
+    """Yield ``(n, backend, vt)`` for n = 1..n_max: one solver that takes
+    row n - 1 at each size, as ``obfuscate`` grows it."""
+    vt = S.VarTable(0, product.alphabet, constraint, product.n_states)
+    backend = None
+    for n in range(1, n_max + 1):
+        cnf, _ = S.encode(n, product, constraint, vt)
+        backend = S.solve_instance(cnf, backend)
+        yield n, backend, vt
+
+
+def satisfiable_within(product: S.DualMarkedDFA,
+                       constraint: S.ControlConstraint, n: int) -> bool:
+    """Whether some behavior-preserving supervisor has at most ``n``
+    reachable states: each size of a grown climb solved under its
+    capacity literal."""
+    return any(backend.solve([vt.capacity_var(m)])
+               for m, backend, vt in grown_climb(product, constraint, n))
+
+
 # ---------------------------------------------------------------------------
 # randomized instance generators (deterministic under a seeded Random)
 

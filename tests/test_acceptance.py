@@ -12,7 +12,8 @@ from supobf.cli import main as cli_main
 from conftest import (FIXTURES, all_supervisor_automata, load_fixture,
                       marked_strings_upto, random_alphabet,
                       random_attack_instance, random_plant,
-                      random_supervisor_automaton, strings_upto)
+                      random_supervisor_automaton, satisfiable_within,
+                      strings_upto)
 from test_attack import permute_states
 
 
@@ -98,8 +99,7 @@ def test_criterion_3_encoding_completeness():
         for n in (1, 2):
             prod = S.dual_marked_product(S.complete(plant),
                                          S.complete(sup_aut))
-            cnf, _ = S.encode(n, prod, constraint)
-            sat = S.solve_instance(cnf).solve()
+            sat = satisfiable_within(prod, constraint, n)
             brute = any(
                 S.language_equal(S.sync_product(plant, cand), loop)[0]
                 for cand in all_supervisor_automata(alph, constraint, n))

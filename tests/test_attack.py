@@ -255,6 +255,27 @@ def test_differential_random_suite():
     assert conclusive >= 60
 
 
+def test_attackable_verdicts_confirmed_by_the_oracle():
+    # the random suites above draw few attackable instances; these draws
+    # give many, and the oracle must find an attack within twice the
+    # witness's observation count plus one for every attackable verdict
+    rng = random.Random(777)
+    confirmed = 0
+    for _ in range(400):
+        plant, sup, damage, attack = random_damaged_instance(rng,
+                                                             max_states=4)
+        verdict = S.non_attackable(plant, sup, damage, attack)
+        if verdict.non_attackable:
+            continue
+        bound = 2 * (len(verdict.witness.observations) + 1)
+        oracle = S.attackable_by_search(plant, sup, damage, attack, bound)
+        assert oracle.attackable, f"witness={verdict.witness}"
+        confirmed += 1
+        if confirmed == 25:
+            break
+    assert confirmed == 25
+
+
 DESCRIBE_INSTANCES = """
 import random
 from conftest import random_attack_instance

@@ -78,9 +78,11 @@ def test_synth_bp_lists_candidates(capsys, tmp_path):
     text = dimacs.read_text()
     assert text.splitlines()[0].startswith("c t 0 a 0 = ")
     assert "p cnf" in text
-    # the activation literal of row 1 is fixed true in the export
-    u1 = next(l for l in text.splitlines() if l.startswith("c u 1 = "))
-    assert f"\n{u1.split()[-1]} 0\n" in text
+    # the capacity literal of size 2 is asserted by a unit clause, so the
+    # export has the size-2 models only
+    cap = next(l for l in text.splitlines() if l.startswith("c cap 2 = "))
+    assert f"\n{cap.split()[-1]} 0\n" in text
+    assert "\nc u " not in text
 
 
 def test_oracle_exit_codes(capsys):

@@ -5,7 +5,7 @@ import pytest
 
 import supobf as S
 from supobf.obfuscate import iter_size_candidates
-from conftest import (all_supervisor_automata, load_fixture,
+from conftest import (all_supervisor_automata, grown_climb, load_fixture,
                       random_attack_instance, strings_upto)
 
 
@@ -248,11 +248,11 @@ def test_obfuscate_randomized_minimality():
 
 
 def test_shared_climb_matches_fresh_encodings():
-    # one instance encoded at n_max and climbed by assumptions, blocking
-    # clauses kept across sizes, yields the same classes at every size as
-    # a fresh encoding of that size
+    # one solver grown row by row, blocking clauses kept across sizes,
+    # yields the same classes at every size as a fresh encoding of that
+    # size
     rng = random.Random(1618)
-    n_max, limit = 3, 60
+    n_max, limit = 4, 60
     compared = 0
     for _ in range(40):
         inst = random_attack_instance(rng, max_states=3)
@@ -262,18 +262,16 @@ def test_shared_climb_matches_fresh_encodings():
         constraint = sup.constraint
         product = S.dual_marked_product(S.complete(plant),
                                         S.complete(sup.automaton))
-        cnf, vt = S.encode(n_max, product, constraint)
-        backend = S.solve_instance(cnf)
-        for n in range(1, n_max + 1):
-            shared = [key for key, _ in iter_size_candidates(
-                backend, vt, n, limit)]
+        for n, backend, vt in grown_climb(product, constraint, n_max):
+            shared = [key for key, _ in iter_size_candidates(backend, vt,
+                                                             limit)]
             fresh, truncated = S.behavior_preserving_supervisors(
                 plant, sup.automaton, constraint, n, limit)
             if len(shared) == limit or truncated:
                 continue
             assert sorted(shared) == [S.canonical_key(c) for c in fresh]
             compared += 1
-    assert compared >= 60
+    assert compared >= 100
 
 
 def test_every_model_is_its_canonical_form():
@@ -292,12 +290,10 @@ def test_every_model_is_its_canonical_form():
     for plant, sup_aut, constraint in cases:
         product = S.dual_marked_product(S.complete(plant),
                                         S.complete(sup_aut))
-        cnf, vt = S.encode(3, product, constraint)
-        backend = S.solve_instance(cnf)
         events = plant.alphabet.events
-        for n in (1, 2, 3):
+        for n, backend, vt in grown_climb(product, constraint, 3):
             keys = []
-            for key, aut in iter_size_candidates(backend, vt, n, 150):
+            for key, aut in iter_size_candidates(backend, vt, 150):
                 assert S.reachable_states(aut) == list(range(n))
                 assert aut.names == tuple(f"s{i}" for i in range(n))
                 assert key == (n, tuple(sorted(
@@ -312,24 +308,34 @@ def test_every_model_is_its_canonical_form():
 @pytest.mark.parametrize("name, n_max, rows", [
     ("example1", None, [1]),      # minimum 1, n_max 5
     ("example1", 8, [1]),
-    ("tri", 8, [1, 3]),           # minimum 2
-    ("perf", None, [1, 3]),       # minimum 2, n_max 6
+    ("tri", 8, [1, 2]),           # minimum 2
+    ("perf", None, [1, 2]),       # minimum 2, n_max 6
     ("atk", None, [1, 2]),        # not found, n_max 2
 ])
 def test_instance_grows_with_the_climb(monkeypatch, name, n_max, rows):
-    # each encoding covers min(n_max, 2n - 1) rows, so a minimum far
-    # below n_max never pays for an n_max-row instance
-    from conftest import load_fixture
-    # the package re-exports the function obfuscate under the module's name
+    # one solver per call, grown by one row per size climbed, so the rows
+    # loaded are the sizes climbed and no more
     module = importlib.import_module("supobf.obfuscate")
-    encoded = []
+    grown, solvers = [], []
 
-    def recording_encode(n, product, constraint):
-        encoded.append(n)
-        return S.encode(n, product, constraint)
+    def recording_encode(n, product, constraint, vt):
+        cnf, vt = S.encode(n, product, constraint, vt)
+        grown.append(vt.n)
+        return cnf, vt
+
+    def recording_load(cnf, backend):
+        backend = S.solve_instance(cnf, backend)
+        solvers.append(backend)
+        return backend
 
     monkeypatch.setattr(module, "encode", recording_encode)
+    monkeypatch.setattr(module, "solve_instance", recording_load)
     pf = load_fixture(name)
-    S.obfuscate(S.ObfuscationRequest(pf.plant, pf.supervisor, pf.control,
-                                     pf.attack, pf.damage, n_max=n_max))
-    assert encoded == rows
+    res = S.obfuscate(S.ObfuscationRequest(pf.plant, pf.supervisor,
+                                           pf.control, pf.attack, pf.damage,
+                                           n_max=n_max))
+    assert grown == rows == [r.n for r in res.trace]
+    assert len(set(map(id, solvers))) == 1
+    assert res.solver_stats == dict(solvers[0].stats,
+                                    models=sum(r.candidates
+                                               for r in res.trace))

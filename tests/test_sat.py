@@ -246,6 +246,75 @@ def test_clauses_added_between_solves_under_assumptions():
         assert s.solve() == bool(brute_force_sat(num_vars, clauses))
 
 
+def well_formed_clauses(rng, num_vars, count):
+    """Clauses of one to three distinct variables, as ``load_clauses``
+    requires."""
+    return [[rng.choice([1, -1]) * v
+             for v in rng.sample(range(1, num_vars + 1),
+                                 rng.randint(1, min(3, num_vars)))]
+            for _ in range(count)]
+
+
+def test_load_clauses_after_solving_against_brute_force():
+    # a solver that has solved under assumptions and taken blocking
+    # clauses reserves new variables and loads a second batch at the
+    # root, as a grown encoding loads its next row; a unit clause of the
+    # first batch gives a root value that the second batch's clauses
+    # touch, satisfied by it or falsified, and some batches end in a unit
+    # that propagates to a conflict; every answer, and the set of all
+    # models afterwards, must match brute force
+    rng = random.Random(3141)
+    for _ in range(150):
+        num_vars = rng.randint(2, 6)
+        unit = rng.choice([1, -1]) * rng.randint(1, num_vars)
+        clauses = well_formed_clauses(rng, num_vars, rng.randint(0, 8))
+        clauses.insert(rng.randint(0, len(clauses)), [unit])
+        s = S.solve_instance(S.CnfInstance(num_vars, clauses))
+        for _ in range(rng.randint(1, 4)):
+            assumptions = random_assumptions(rng, num_vars)
+            want = any(consistent(m, assumptions)
+                       for m in brute_force_sat(num_vars, clauses))
+            assert s.solve(assumptions) == want
+            if want:
+                model = s.model()
+                block = [-v if model[v] else v
+                         for v in rng.sample(sorted(model),
+                                             rng.randint(1, num_vars))]
+                clauses.append(block)
+                s.add_clause(block)
+        old = num_vars
+        num_vars += rng.randint(1, 3)
+        batch = well_formed_clauses(rng, num_vars, rng.randint(0, 6))
+        new = range(old + 1, num_vars + 1)
+        for sign, least in ((1, 0), (-1, 1)):
+            lits = [sign * unit] + [rng.choice([1, -1]) * v for v in
+                                    rng.sample(new, rng.randint(least,
+                                                                len(new)))]
+            batch.insert(rng.randint(0, len(batch)), lits)
+        if len(new) >= 2 and rng.random() < 0.3:
+            # a unit whose propagation at the root meets a conflict
+            v, w = rng.sample(new, 2)
+            batch += [[v, w], [v, -w], [-v]]
+        clauses += batch
+        s.reserve(num_vars)
+        s.load_clauses(batch)
+        expected = brute_force_sat(num_vars, clauses)
+        for _ in range(3):
+            assumptions = random_assumptions(rng, num_vars)
+            want = any(consistent(m, assumptions) for m in expected)
+            assert s.solve(assumptions) == want
+            if want:
+                model = s.model()
+                assert check_model(model, clauses)
+                assert all(model[abs(l)] == (l > 0) for l in assumptions)
+        found = set()
+        while s.solve():
+            model = s.model()
+            found.add(frozenset(v for v, b in model.items() if b))
+            s.add_clause([-v if model[v] else v for v in model])
+        assert found == expected
+
+
 def test_blocking_keeps_the_assumption_levels():
     # assumption 1 implies 2..41; after a blocking clause over the free
     # variables 42 and 43, the next call under the same assumption does

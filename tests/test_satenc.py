@@ -6,7 +6,7 @@ import supobf as S
 from supobf.sat import SatSolver
 from supobf.satenc import VarTable
 from conftest import (all_supervisor_automata, random_alphabet, random_plant,
-                      random_supervisor_automaton)
+                      random_supervisor_automaton, satisfiable_within)
 
 
 def make_vt(n, events, controllable, observable, num_product=0):
@@ -59,42 +59,50 @@ def naive_dpll(clauses, num_vars):
 
 def test_transition_clauses_counts_n1():
     vt = make_vt(1, ("a",), ("a",), ("a",))
-    clauses = S.transition_function_clauses(vt)
-    widths = sorted(len(c) for c in clauses)
-    assert widths == [2, 2]
-    alo = [c for c in clauses if all(l > 0 for l in c)]
-    amo = [c for c in clauses if all(l < 0 for l in c)]
-    assert len(alo) == 1 and len(alo[0]) == 2
-    assert len(amo) == 1
+    t0, dump = vt.trans_var(0, "a", 0), vt.trans_var(0, "a", S.DUMP)
+    # one at-most-one pair, and the at-least-one clause of capacity 1
+    assert S.transition_function_clauses(vt, 0) == [
+        [-t0, -dump], [-vt.capacity_var(1), t0, dump]]
 
 
 def test_transition_clauses_counts_n2():
     vt = make_vt(2, ("a",), ("a",), ("a",))
-    clauses = S.transition_function_clauses(vt)
-    alo = [c for c in clauses if all(l > 0 for l in c)]
-    amo = [c for c in clauses if all(l < 0 for l in c)]
-    assert len(alo) == 2 and all(len(c) == 3 for c in alo)
-    assert len(amo) == 6 and all(len(c) == 2 for c in amo)
+    clauses = (S.transition_function_clauses(vt, 0)
+               + S.transition_function_clauses(vt, 1))
+    amo = [c for c in clauses if len(c) == 2]
+    alo = [c for c in clauses if len(c) > 2]
+    # the pairs of two rows over three targets each
+    assert len(amo) == 6 and all(l < 0 for c in amo for l in c)
+    # capacity 1 covers row 0, capacity 2 rows 0 and 1, each guarded
+    assert [(c[0], len(c)) for c in alo] == [(-vt.capacity_var(1), 3),
+                                             (-vt.capacity_var(2), 4),
+                                             (-vt.capacity_var(2), 4)]
+    # row 1 retires capacity 1
+    assert clauses[-1] == [-vt.capacity_var(1)]
 
 
 def test_transition_clauses_no_observable_events():
     vt = make_vt(2, ("u",), (), ())
-    assert S.transition_function_clauses(vt) == []
-    assert vt.num_vars == 0
+    assert S.transition_function_clauses(vt, 0) == []
+    assert S.transition_function_clauses(vt, 1) == [[-vt.capacity_var(1)]]
+    assert vt.num_vars == 3  # c(1), then p(1, 0) and c(2)
+    # no observable event discovers row 1: two rows are unsatisfiable
+    p = vt.parent_var(1, 0)
+    assert S.symmetry_clauses(vt, 1) == [[p], [-p]]
 
 
 def test_controllability_clauses():
     # all uncontrollable events unobservable: nothing to emit
     vt = make_vt(2, ("u",), (), ())
-    assert S.controllability_clauses(vt) == []
-    # one uncontrollable observable event, n = 1: single disjunct
+    assert S.controllability_clauses(vt, 0) == []
+    # one uncontrollable observable event: the row never moves to the dump
     vt = make_vt(1, ("a",), (), ("a",))
-    assert S.controllability_clauses(vt) == [[vt.trans_var(0, "a", 0)]]
-    # n = 2: one clause per row over the two live successors
+    assert S.controllability_clauses(vt, 0) == \
+        [[-vt.trans_var(0, "a", S.DUMP)]]
+    # two rows: one unit per row, for the uncontrollable event only
     vt = make_vt(2, ("a", "b"), ("b",), ("a", "b"))
-    clauses = S.controllability_clauses(vt)
-    assert clauses == [[vt.trans_var(0, "a", 0), vt.trans_var(0, "a", 1)],
-                       [vt.trans_var(1, "a", 0), vt.trans_var(1, "a", 1)]]
+    assert [S.controllability_clauses(vt, k) for k in (0, 1)] == \
+        [[[-vt.trans_var(0, "a", S.DUMP)]], [[-vt.trans_var(1, "a", S.DUMP)]]]
 
 
 def test_trans_var_constants():
@@ -104,10 +112,10 @@ def test_trans_var_constants():
     assert vt.trans_var(0, "u", 1) is False
     assert vt.trans_var(1, "u", 1) is True
     # dump row is absorbing for every event
-    assert vt.trans_var(2, "a", 2) is True
-    assert vt.trans_var(2, "a", 0) is False
-    assert vt.trans_var(2, "u", 2) is True
-    assert isinstance(vt.trans_var(0, "a", 2), int)
+    assert vt.trans_var(S.DUMP, "a", S.DUMP) is True
+    assert vt.trans_var(S.DUMP, "a", 0) is False
+    assert vt.trans_var(S.DUMP, "u", S.DUMP) is True
+    assert isinstance(vt.trans_var(0, "a", S.DUMP), int)
 
 
 def test_separation_structure_no_b_marks():
@@ -118,12 +126,28 @@ def test_separation_structure_no_b_marks():
     assert prod.mark_b == frozenset()
     vt = VarTable(1, alph, S.ControlConstraint.from_alphabet(alph),
                   prod.n_states)
-    clauses = S.separation_clauses(vt, prod)
+    clauses = S.separation_clauses(vt, prod, 0)
     units = [c for c in clauses if len(c) == 1]
     # initial reachability plus one dump-row prohibition per A-marked state
     assert [vt.reach_var(0, prod.initial)] in units
     for y in prod.mark_a:
-        assert [-vt.reach_var(1, y)] in units
+        assert [-vt.reach_var(S.DUMP, y)] in units
+
+
+def test_separation_leaves_out_what_the_marking_units_decide(perf):
+    # r(DUMP, y) on A-marked and r(i, y) on B-marked states are false by
+    # unit clauses; no other separation clause mentions them
+    prod = product_of(perf)
+    assert prod.mark_a and prod.mark_b
+    vt = VarTable(2, prod.alphabet, perf.control, prod.n_states)
+    dead = {vt.reach_var(S.DUMP, y) for y in prod.mark_a}
+    for k in (0, 1):
+        dead |= {vt.reach_var(k, y) for y in prod.mark_b}
+        clauses = S.separation_clauses(vt, prod, k)
+        rest = [c for c in clauses if not (len(c) == 1 and -c[0] in dead)]
+        assert len(clauses) - len(rest) == len(prod.mark_b) + (
+            len(prod.mark_a) if k == 0 else 0)
+        assert rest and not any(abs(l) in dead for c in rest for l in c)
 
 
 def test_single_state_fixture_solution(single):
@@ -173,7 +197,7 @@ def test_bulk_load_matches_clause_by_clause(tri, atk):
                 for cl in cnf.clauses:
                     backend.add_clause(cl)
             models = []
-            while len(models) < 40 and backend.solve(S.size_assumptions(vt, n)):
+            while len(models) < 40 and backend.solve([vt.capacity_var(n)]):
                 model = backend.model()
                 models.append(model)
                 rows = S.decode_model(model, vt).rows
@@ -192,7 +216,7 @@ def test_parent_variables_follow_the_breadth_first_numbering(atk, perf):
     for pf in (atk, perf):
         cnf, vt = S.encode(4, product_of(pf), pf.control)
         backend = S.solve_instance(cnf)
-        size = S.size_assumptions(vt, 4)
+        size = [vt.capacity_var(4)]
         models = 0
         while models < 60 and backend.solve(size):
             model = backend.model()
@@ -224,7 +248,7 @@ def test_decode_all_dump_row():
     alph = S.Alphabet.make(("a", "u"), controllable=("a",), observable=("a",))
     c = S.ControlConstraint.from_alphabet(alph)
     vt = VarTable(1, alph, c, 0)
-    model = {vt.trans_var(0, "a", j): j == 1 for j in range(2)}
+    model = {vt.trans_var(0, "a", j): j == S.DUMP for j in (0, S.DUMP)}
     decoded = S.decode_model(model, vt)
     assert decoded.automaton.trans == {(0, "u"): 0}
     assert decoded.rows == (0,)
@@ -233,7 +257,8 @@ def test_decode_all_dump_row():
 def test_decode_rejects_double_successor():
     alph = S.Alphabet.make(("a",), controllable=("a",))
     vt = VarTable(1, alph, S.ControlConstraint.from_alphabet(alph), 0)
-    model = {vt.trans_var(0, "a", 0): True, vt.trans_var(0, "a", 1): True}
+    model = {vt.trans_var(0, "a", 0): True,
+             vt.trans_var(0, "a", S.DUMP): True}
     with pytest.raises(S.BackendError):
         S.decode_model(model, vt)
 
@@ -302,8 +327,7 @@ def test_completeness_on_tiny_instances():
         loop = S.sync_product(plant, sup_aut)
         for n in (1, 2):
             prod = S.dual_marked_product(S.complete(plant), S.complete(sup_aut))
-            cnf, _ = S.encode(n, prod, constraint)
-            sat = S.solve_instance(cnf).solve()
+            sat = satisfiable_within(prod, constraint, n)
             brute = any(
                 S.language_equal(S.sync_product(plant, cand), loop)[0]
                 for cand in all_supervisor_automata(alph, constraint, n))
@@ -335,9 +359,12 @@ def test_constant_folding_matches_explicit_encoding():
     cnf, vt = S.encode(n, prod, constraint)
     # the groups that fold constants, without the symmetry-breaking
     # clauses: those keep one row numbering per class, which the explicit
-    # encoding has no counterpart for
-    folded = (S.transition_function_clauses(vt) + S.controllability_clauses(vt)
-              + S.separation_clauses(vt, prod) + S.activation_clauses(vt))
+    # encoding has no counterpart for; the unit c(n) fixes the capacity
+    folded = [cl for k in range(n)
+              for cl in (S.transition_function_clauses(vt, k)
+                         + S.controllability_clauses(vt, k)
+                         + S.separation_clauses(vt, prod, k))]
+    folded.append([vt.capacity_var(n)])
 
     def count_models(clauses, num_vars, project):
         solver = SatSolver()
@@ -400,10 +427,15 @@ def test_constant_folding_matches_explicit_encoding():
         for i in range(n):
             clauses.append([-r_of[(i, y)]])
 
-    shared_opt = [vt.trans_var(i, "a", j) for i in range(n) for j in range(n + 1)]
+    # the explicit encoding numbers the dump row n
+    def row(i):
+        return S.DUMP if i == n else i
+
+    shared_opt = [vt.trans_var(i, "a", row(j))
+                  for i in range(n) for j in range(n + 1)]
     shared_exp = [explicit[(i, "a", j)] for i in range(n) for j in range(n + 1)]
     # project to the t-variables plus all r-variables
-    proj_opt = shared_opt + [vt.reach_var(i, y) for i in range(n + 1)
+    proj_opt = shared_opt + [vt.reach_var(row(i), y) for i in range(n + 1)
                              for y in range(prod.n_states)]
     proj_exp = shared_exp + [r_of[(i, y)] for i in range(n + 1)
                              for y in range(prod.n_states)]
@@ -433,6 +465,9 @@ def test_dimacs_round_trip_and_external_solve(tri):
     assert f"c t 0 a 0 = {vt.trans_var(0, 'a', 0)}" in text
     assert f"c r 0 0 = {vt.reach_var(0, 0)}" in text
     assert f"c p 1 0 = {vt.parent_var(1, 0)}" in text
+    assert f"c t 0 a -1 = {vt.trans_var(0, 'a', S.DUMP)}" in text
+    # the capacity of size 2 is asserted, so every model has two rows
+    assert text.endswith(f"\n{vt.capacity_var(2)} 0\n")
     parsed = S.parse_dimacs(text)
     assert parsed.num_vars == cnf.num_vars
     assert parsed.clauses == cnf.clauses
@@ -441,6 +476,7 @@ def test_dimacs_round_trip_and_external_solve(tri):
     for v in range(1, parsed.num_vars + 1):
         model.setdefault(v, False)
     decoded = S.decode_model(model, vt)
+    assert decoded.rows == (0, 1)
     eq, _ = S.language_equal(S.sync_product(tri.plant, decoded.automaton),
                              S.closed_loop(tri.plant, tri.supervisor))
     assert eq
@@ -469,23 +505,34 @@ def test_parse_dimacs_rejects_bad_clauses():
     assert S.parse_dimacs("p cnf 2 1\n1 -2 0\n").clauses == [[1, -2]]
 
 
-def test_activation_literals_restrict_the_size(tri):
+def test_capacity_literals_restrict_the_size(tri):
+    # a table grown row by row: each row's clauses load into the solver
+    # that holds the earlier ones, the newest capacity literal selects the
+    # size, and the retired ones admit no model
     prod = product_of(tri)
-    cnf, vt = S.encode(3, prod, tri.control)
-    u1, u2 = vt.activation_var(1), vt.activation_var(2)
-    # allocated after every transition and reachability variable
-    assert [u1, u2] == [cnf.num_vars - 1, cnf.num_vars]
-    assert S.size_assumptions(vt, 1) == [-u1, -u2]
-    assert S.size_assumptions(vt, 2) == [u1, -u2]
-    assert S.size_assumptions(vt, 3) == [u1, u2]
-    text = S.export_dimacs(cnf, vt)
-    assert f"c u 1 = {u1}\nc u 2 = {u2}\n" in text
-    backend = S.solve_instance(cnf)
-    # tri needs two states: unsatisfiable at size 1 only
-    assert not backend.solve(S.size_assumptions(vt, 1))
-    assert backend.solve(S.size_assumptions(vt, 2))
-    decoded = S.decode_model(backend.model(), vt)
-    assert set(decoded.rows) <= {0, 1}
-    for y in range(prod.n_states):
-        assert not backend.model()[vt.reach_var(2, y)]
-    assert backend.solve()
+    vt = VarTable(0, prod.alphabet, tri.control, prod.n_states)
+    backend, grown, answers = None, [], []
+    for n in (1, 2, 3):
+        cnf, same = S.encode(n, prod, tri.control, vt)
+        assert same is vt and vt.n == n
+        # allocated last, with row n - 1
+        assert vt.capacity_var(n) == vt.num_vars == cnf.num_vars
+        grown += cnf.clauses
+        backend = S.solve_instance(cnf, backend)
+        answers.append(backend.solve([vt.capacity_var(n)]))
+        if answers[-1]:
+            decoded = S.decode_model(backend.model(), vt)
+            assert decoded.rows == tuple(range(n))
+        for m in range(1, n):
+            assert not backend.solve([vt.capacity_var(m)])
+    # tri needs two states
+    assert answers == [False, True, True]
+    # the same builder run to 3 rows, closed by the unit clause c(3)
+    fresh, fresh_vt = S.encode(3, prod, tri.control)
+    assert fresh.clauses == grown + [[vt.capacity_var(3)]]
+    assert fresh_vt.num_vars == vt.num_vars
+    assert list(fresh_vt.iter_trans_vars()) == list(vt.iter_trans_vars())
+    text = S.export_dimacs(fresh, fresh_vt)
+    assert "".join(f"c cap {m} = {vt.capacity_var(m)}\n"
+                   for m in (1, 2, 3)) in text
+    assert "\nc u " not in text

@@ -65,3 +65,15 @@ def test_obfuscate_calls_every_traced_name(monkeypatch, example1):
                                  "non_attackable")}
     expected.add("SatSolver.solve")
     assert set(calls) == expected
+
+
+def test_obfuscate_loads_every_row_through_the_traced_names(monkeypatch,
+                                                              perf):
+    # perf climbs two sizes: each adds one row, encoded by one ``encode``
+    # call and loaded by one ``solve_instance`` call, so the growth is
+    # timed as encoding and loading
+    calls = count_calls(monkeypatch)
+    result = obfuscate_mod.obfuscate(S.ObfuscationRequest(
+        perf.plant, perf.supervisor, perf.control, perf.attack, perf.damage))
+    assert [r.n for r in result.trace] == [1, 2]
+    assert calls["obfuscate.encode"] == calls["obfuscate.solve_instance"] == 2

@@ -23,9 +23,9 @@ from .obfuscate import (ObfuscationRequest, ObfuscationResult, SizeTrace,
 from .problemfile import (ParseError, ProblemFile, emit_automaton_section,
                           emit_problem, load_problem, parse_problem)
 from .sat import BackendError, SatSolver
-from .satenc import (DUMP, CnfInstance, DecodedSupervisor, VarTable,
-                     blocking_clause, controllability_clauses, decode_model,
-                     encode, export_dimacs, parse_dimacs, separation_clauses,
+from .satenc import (DUMP, CnfInstance, VarTable, blocking_clause,
+                     controllability_clauses, decode_model, encode,
+                     export_dimacs, parse_dimacs, separation_clauses,
                      solve_instance, symmetry_clauses,
                      transition_function_clauses)
 

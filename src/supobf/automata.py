@@ -16,7 +16,10 @@ class AutomatonError(ValueError):
 
 
 def _check_event_name(name: str) -> None:
-    if not name or any(ch.isspace() for ch in name) or "#" in name:
+    # a problem file reads '#' as a comment and a line that starts with
+    # '[' as a section header, and event names start lines there
+    if (not name or any(ch.isspace() for ch in name) or "#" in name
+            or name.startswith("[")):
         raise AutomatonError(f"bad event name: {name!r}")
 
 

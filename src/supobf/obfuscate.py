@@ -78,11 +78,11 @@ def iter_size_candidates(backend: SatSolver, vt: VarTable,
     ``vt``.
 
     Every solve runs under the assumption ``c(vt.n)``, and every model is
-    one candidate: its rows are all reachable, in canonical order, so it
-    decodes to states ``s0..s{n-1}``.  Each model is blocked on those rows
-    before re-solving.  ``limit`` caps the number of models taken from the
-    solver and must be at least 1; the enumeration counts as truncated
-    when it yields ``limit`` candidates.
+    one candidate: its rows are all reachable, in canonical order, so
+    :func:`decode_model` reads it as states ``s0..s{n-1}`` and
+    :func:`blocking_clause` blocks it on those rows before re-solving.
+    ``limit`` caps the models taken from the solver and must be at least
+    1; the enumeration counts as truncated when it yields ``limit``.
     """
     if limit is not None and limit < 1:
         raise ValueError("the enumeration limit must be at least 1")
@@ -91,9 +91,9 @@ def iter_size_candidates(backend: SatSolver, vt: VarTable,
     while (limit is None or count < limit) and backend.solve(assumptions):
         count += 1
         model = backend.model()
-        decoded = decode_model(model, vt)
-        backend.add_clause(blocking_clause(model, vt, decoded.rows))
-        yield canonical_key(decoded.automaton), decoded.automaton
+        candidate = decode_model(model, vt)
+        backend.add_clause(blocking_clause(model, vt))
+        yield canonical_key(candidate), candidate
 
 
 def behavior_preserving_supervisors(plant: PartialDFA, sup_aut: PartialDFA,
@@ -135,10 +135,10 @@ def obfuscate(req: ObfuscationRequest,
 
     product = dual_marked_product(complete(plant), complete(sup_aut))
     trace: list[SizeTrace] = []
-    tested_total = models = 0
+    models = 0  # each model is one candidate, verified once
     truncated = False
     winner = None  # (canonical key, supervisor)
-    vt = VarTable(0, product.alphabet, constraint, product.n_states)
+    vt = VarTable(product.alphabet, constraint, product.n_states)
     backend = None  # the one solver, created with row 0
     for n in range(1, n_max + 1):
         cnf, _ = encode(n, product, constraint, vt)  # adds row n - 1
@@ -149,7 +149,6 @@ def obfuscate(req: ObfuscationRequest,
             row.candidates += 1
             candidate = Supervisor(cand, constraint)
             row.tested += 1
-            tested_total += 1
             verdict = non_attackable(plant, candidate, req.damage, req.attack,
                                      validate=False)
             if verdict.non_attackable:
@@ -165,7 +164,7 @@ def obfuscate(req: ObfuscationRequest,
             break
     solver_stats = dict(backend.stats, models=models)
     if winner is None:
-        return ObfuscationResult(False, None, None, n_max, tested_total, trace,
+        return ObfuscationResult(False, None, None, n_max, models, trace,
                                  solver_stats, truncated)
-    return ObfuscationResult(True, winner[1], trace[-1].n, n_max, tested_total,
+    return ObfuscationResult(True, winner[1], trace[-1].n, n_max, models,
                              trace, solver_stats, truncated)

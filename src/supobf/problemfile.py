@@ -27,11 +27,12 @@ A problem file declares the alphabet with its flag sets and three automata::
     trans:
     z0 c z1
 
-``#`` starts a comment, tokens are whitespace separated.  Automaton
-sections take ``states:``, ``initial:``, optional ``marked:`` (an empty
-list is meaningful: no marked states) and optional ``auto-complete: true``
-to add a non-marked absorbing sink.  Everything after ``trans:`` is one
-transition per line.
+``#`` starts a comment, tokens are whitespace separated, and a line
+that starts with ``[`` is a section header, so no event or state name
+starts with ``[``.  Automaton sections take ``states:``, ``initial:``,
+optional ``marked:`` (an empty list is meaningful: no marked states) and
+optional ``auto-complete: true`` to add a non-marked absorbing sink.
+Everything after ``trans:`` is one transition per line.
 """
 
 from __future__ import annotations
@@ -130,6 +131,11 @@ def _parse_automaton(sections, name: str, alphabet: Alphabet) -> PartialDFA:
                 raise ParseError(no, "states: needs at least one state")
             if len(set(states)) != len(states):
                 raise ParseError(no, "duplicate state names")
+            for s in states:
+                # a transition line that starts with it would read as a
+                # section header
+                if s.startswith("["):
+                    raise ParseError(no, f"state name {s!r} starts with '['")
         elif key == "initial:":
             if len(toks) != 2:
                 raise ParseError(no, "initial: needs exactly one state")

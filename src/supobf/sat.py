@@ -3,18 +3,21 @@
 The backend contract expected by the encoding layer:
 
 * ``add_clause(lits)``: clauses may be added at any time, including after
-  a satisfiable ``solve()`` (blocking clauses for model enumeration);
-* ``load_clauses(clauses)``: bulk loading at the root, with the effect of
-  ``add_clause`` on each clause in order.  It skips ``add_clause``'s
-  checks, so every clause must be well formed: distinct non-zero
-  literals over the reserved variables ``1..num_vars``, no literal
-  together with its negation (what ``parse_dimacs`` enforces and the
-  encoder produces).  It folds the root values in as ``add_clause``
-  does: a clause a root value satisfies is skipped, literals false at
-  the root are dropped, and what is left is attached as a copy, or, a
-  single literal, assigned at the root and propagated.  A solver that
-  has solved before takes new clauses this way too, after ``reserve``
-  for their new variables;
+  a satisfiable ``solve()`` (blocking clauses for model enumeration).  It
+  checks the literals, folds the root values in and, unless the clause
+  can be watched on the kept assumption levels (below), hands it to
+  ``load_clauses``;
+* ``load_clauses(clauses)``: bulk loading at the root, the one way a
+  clause enters there.  It skips ``add_clause``'s checks, so every
+  clause must be well formed: distinct non-zero literals over the
+  reserved variables ``1..num_vars``, no literal together with its
+  negation (what ``parse_dimacs`` enforces and the encoder produces).
+  It folds the root values in: a clause a root value satisfies is
+  skipped, literals false at the root are dropped, and what is left is
+  attached as a copy, or, a single literal, assigned at the root and
+  propagated; an empty clause makes the solver unsatisfiable.  A solver
+  that has solved before takes new clauses this way too, after
+  ``reserve`` for their new variables;
 * ``solve(assumptions=())``: returns True/False.  The assumptions are
   literals that hold for this call only (MiniSat style, Eén & Sörensson,
   "An Extensible SAT-solver", SAT 2003): each one takes its own decision
@@ -33,7 +36,9 @@ The backend contract expected by the encoding layer:
   produce identical models and statistics.
 
 Conflict analysis is first-UIP with activity-based branching (decayed
-scores, lowest index wins ties) and false-first polarity.  There are no
+scores, lowest index wins ties) and false-first polarity.  A variable
+enters the branching heap when reserved and whenever a backtrack
+unassigns it, so an empty heap means a total assignment.  There are no
 restarts; the solver is complete without them and the instances produced
 by the encoder are desk-scale.
 
@@ -139,30 +144,20 @@ class SatSolver:
                     return  # satisfied at root
                 continue  # falsified at root, drop the literal
             clause.append(lit)
-        if not clause:
-            self._unsat = True
-            return
-        if len(clause) > 1:
-            if self._trail_lim:
-                # watch two literals that are not false on the kept
-                # assumption levels; without two, add the clause at the root
-                free = [k for k, lit in enumerate(clause)
-                        if value[lit] != _FALSE]
-                if len(free) < 2:
-                    self._backtrack(0)
-                elif free[:2] != [0, 1]:
+        if len(clause) > 1 and self._trail_lim:
+            # watch two literals that are not false on the kept assumption
+            # levels; without two, the clause goes in at the root
+            free = [k for k, lit in enumerate(clause) if value[lit] != _FALSE]
+            if len(free) >= 2:
+                if free[:2] != [0, 1]:
                     a, b = free[:2]
                     clause = ([clause[a], clause[b]]
                               + [l for k, l in enumerate(clause)
                                  if k not in (a, b)])
-            self._attach(clause)
-            return
-        # a unit clause holds from the root on; its literal is unassigned
-        # there, since root values were folded in above
-        self._backtrack(0)
-        self._assign(clause[0], None)
-        if self._propagate() is not None:
-            self._unsat = True
+                self._attach(clause)
+                return
+        # well formed now, and no literal is assigned at the root
+        self.load_clauses([clause])
 
     def load_clauses(self, clauses: Iterable[list[int]]) -> None:
         """Add well-formed clauses at the root (see the module docstring
@@ -353,9 +348,6 @@ class SatSolver:
         value = self._value
         while heap:
             v = heappop(heap)[1]
-            if value[v] == _UNSET:
-                return v
-        for v in range(1, self.num_vars + 1):
             if value[v] == _UNSET:
                 return v
         return None

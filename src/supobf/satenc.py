@@ -63,9 +63,9 @@ them (unit clauses early, so that loading folds them into what follows):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
-from .automata import AutomatonError, DualMarkedDFA, PartialDFA, explore
+from .automata import AutomatonError, DualMarkedDFA, PartialDFA
 from .control import ControlConstraint
 from .sat import BackendError, SatSolver
 
@@ -87,8 +87,8 @@ class CnfInstance:
 
 
 class VarTable:
-    """Variable numbering of an instance of ``n`` rows, grown by
-    :meth:`add_row`.
+    """Variable numbering of an instance, empty when made and grown one
+    row at a time by :meth:`add_row`; ``n`` is its row count.
 
     Each row's variables are allocated together, in the order the
     module docstring lists them: the new target column (row, then
@@ -96,12 +96,12 @@ class VarTable:
     then successor ``0..k``, ``DUMP``), its reachability variables
     (product-state order; with row 0 the dump's follow), its parent
     variables (parent order) and its capacity variable.  Numbering
-    depends on the row count only, so a grown table numbers like a new
-    one and emitted DIMACS files are reproducible.
+    depends on the row count only, so two tables grown to the same size
+    number alike and emitted DIMACS files are reproducible.
     """
 
-    def __init__(self, n: int, alphabet, constraint: ControlConstraint,
-                 num_product_states: int = 0):
+    def __init__(self, alphabet, constraint: ControlConstraint,
+                 num_product_states: int):
         constraint.check_events(alphabet)
         self.n = 0
         self.num_vars = 0
@@ -115,8 +115,6 @@ class VarTable:
         self._r: dict[int, int] = {}  # row -> r(row, 0)
         self._p: dict[tuple[int, int], int] = {}
         self._c: list[int] = []  # c(m) at m - 1
-        for _ in range(n):
-            self.add_row()
 
     def _new(self) -> int:
         self.num_vars += 1
@@ -342,7 +340,7 @@ def encode(n: int, product: DualMarkedDFA, constraint: ControlConstraint,
         raise AutomatonError("state bound must be at least 1")
     fresh = vt is None
     if fresh:
-        vt = VarTable(0, product.alphabet, constraint, product.n_states)
+        vt = VarTable(product.alphabet, constraint, product.n_states)
     clauses = []
     while vt.n < n:
         k = vt.add_row()
@@ -355,52 +353,38 @@ def encode(n: int, product: DualMarkedDFA, constraint: ControlConstraint,
     return CnfInstance(vt.num_vars, clauses), vt
 
 
-@dataclass(frozen=True)
-class DecodedSupervisor:
-    """Candidate read back from a model: the reachable part only, with
-    states renamed ``s<original row>``."""
+def decode_model(model: dict[int, bool], vt: VarTable) -> PartialDFA:
+    """Translate a model into its supervisor: the rows ``0..vt.n-1``, as
+    states ``s0..``.
 
-    automaton: PartialDFA
-    rows: tuple[int, ...]  # original candidate rows, ascending
-
-
-def decode_model(model: dict[int, bool], vt: VarTable) -> DecodedSupervisor:
-    """Translate a model into a partial supervisor automaton.
-
-    Successors into the dump row become undefined transitions; unobservable
-    events self-loop everywhere (the variable table carries the target
-    constraint); only rows reachable from row 0 are kept.
+    Successors into the dump row become undefined transitions, and
+    unobservable events self-loop everywhere (the variable table carries
+    the target constraint).  Under ``c(vt.n)`` the symmetry breaking
+    makes every row reachable and numbers the rows breadth-first, so the
+    result is the model's canonical supervisor as it stands.
     """
     targets = vt.targets()
-    trans_full: dict[tuple[int, str], int] = {}
+    trans: dict[tuple[int, str], int] = {}
     for i in range(vt.n):
         for e in vt.observable:
             hits = [j for j in targets if model[vt.trans_var(i, e, j)]]
             if len(hits) != 1:
                 raise BackendError(f"row ({i},{e}) has {len(hits)} successors")
             if hits[0] != DUMP:
-                trans_full[(i, e)] = hits[0]
-    rows, _ = explore(0, lambda i: ((e, trans_full[(i, e)])
-                                    for e in vt.observable
-                                    if (i, e) in trans_full))
-    order = sorted(rows)
-    remap = {i: k for k, i in enumerate(order)}
-    trans = {(remap[i], e): remap[j]
-             for (i, e), j in trans_full.items() if i in remap}
-    for k in range(len(order)):
+                trans[(i, e)] = hits[0]
+    for i in range(vt.n):
         for e in vt.unobservable:
-            trans[(k, e)] = k
-    aut = PartialDFA(vt.alphabet, tuple(f"s{i}" for i in order), trans, 0, None)
-    return DecodedSupervisor(aut, tuple(order))
+            trans[(i, e)] = i
+    return PartialDFA(vt.alphabet, tuple(f"s{i}" for i in range(vt.n)), trans,
+                      0, None)
 
 
-def blocking_clause(model: dict[int, bool], vt: VarTable,
-                    rows: Iterable[int]) -> Clause:
+def blocking_clause(model: dict[int, bool], vt: VarTable) -> Clause:
     """Clause forbidding every model that repeats this model's transition
-    function on the given (reachable) candidate rows."""
+    function on the rows ``0..vt.n-1``."""
     out = []
     targets = vt.targets()
-    for i in rows:
+    for i in range(vt.n):
         for e in vt.observable:
             hit = next(j for j in targets if model[vt.trans_var(i, e, j)])
             out.append(-vt.trans_var(i, e, hit))

@@ -64,6 +64,12 @@ def strings_upto(aut: S.PartialDFA, maxlen: int) -> set[tuple[str, ...]]:
     return out
 
 
+def shortlex(alphabet: S.Alphabet):
+    """Sort key of strings over ``alphabet``: length first, then the
+    events' alphabet indices."""
+    return lambda string: (len(string), [alphabet.index(e) for e in string])
+
+
 def marked_strings_upto(aut: S.PartialDFA, maxlen: int) -> set[tuple[str, ...]]:
     out = set()
     frontier = [((), aut.initial)]
@@ -112,7 +118,7 @@ def grown_climb(product: S.DualMarkedDFA, constraint: S.ControlConstraint,
                 n_max: int):
     """Yield ``(n, backend, vt)`` for n = 1..n_max: one solver that takes
     row n - 1 at each size, as ``obfuscate`` grows it."""
-    vt = S.VarTable(0, product.alphabet, constraint, product.n_states)
+    vt = S.VarTable(product.alphabet, constraint, product.n_states)
     backend = None
     for n in range(1, n_max + 1):
         cnf, _ = S.encode(n, product, constraint, vt)

@@ -75,10 +75,10 @@ def test_criterion_2_encoding_soundness():
             continue
         solved += 1
         decoded = S.decode_model(backend.model(), vt)
-        if S.check_supervisor(decoded.automaton, constraint) != []:
+        if S.check_supervisor(decoded, constraint) != []:
             failures += 1
             continue
-        eq, _ = S.language_equal(S.sync_product(plant, decoded.automaton),
+        eq, _ = S.language_equal(S.sync_product(plant, decoded),
                                  S.closed_loop(plant, sup))
         if not eq:
             failures += 1

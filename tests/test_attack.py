@@ -276,6 +276,91 @@ def test_attackable_verdicts_confirmed_by_the_oracle():
     assert confirmed == 25
 
 
+def observed_cores(plant, sup, damage, attack, observations):
+    """The (plant, supervisor, damage) states reached by the closed-loop
+    strings whose attacker observation is exactly ``observations``, found
+    by searching strings as ``attackable_by_search`` does (strings that
+    reach the same states with the same observation count once)."""
+    aut = sup.automaton
+    observable = sup.constraint.observable
+    commands = [tuple(sorted(aut.enabled(x))) for x in range(aut.n_states)]
+    start = (plant.initial, aut.initial, damage.initial, 0)
+    seen = {start}
+    stack = [start]
+    while stack:
+        q, x, z, k = stack.pop()
+        for ev in plant.alphabet.events:
+            q2, x2 = plant.step(q, ev), aut.step(x, ev)
+            if q2 is None or x2 is None:
+                continue
+            if ev in observable:
+                seen_ev = ev if ev in attack.attacker_observable else None
+                if observations[k:k + 1] != ((seen_ev, commands[x2]),):
+                    continue
+                node = (q2, x2, damage.step(z, ev), k + 1)
+            else:
+                node = (q2, x2, damage.step(z, ev), k)
+            if node not in seen:
+                seen.add(node)
+                stack.append(node)
+    return {(q, x, z) for q, x, z, k in seen if k == len(observations)}
+
+
+def assert_witness_replays(plant, sup, damage, attack, verdict):
+    """The witness's knowledge set is what its observations reach, and its
+    event damages from every member where the plant can take it and the
+    supervisor disables it, of which there is at least one."""
+    w = verdict.witness
+    cores = observed_cores(plant, sup, damage, attack, w.observations)
+    assert cores == {verdict.product.cores[i] for i in w.subset}, w
+    disabled = [z for q, x, z in cores if plant.step(q, w.event) is not None
+                and sup.automaton.step(x, w.event) is None]
+    assert disabled, w
+    assert all(damage.is_marked(damage.step(z, w.event)) for z in disabled), w
+
+
+def test_attackable_witnesses_replay_by_brute_force():
+    # the draws of test_attackable_verdicts_confirmed_by_the_oracle
+    rng = random.Random(777)
+    replayed = 0
+    for _ in range(400):
+        inst = random_damaged_instance(rng, max_states=4)
+        verdict = S.non_attackable(*inst)
+        if verdict.non_attackable:
+            continue
+        assert_witness_replays(*inst, verdict)
+        replayed += 1
+        if replayed == 25:
+            break
+    assert replayed == 25
+
+
+def test_witness_skips_a_set_with_a_failure_core():
+    # a and b are attacker-invisible and issue the same command, so the
+    # first knowledge set mixes a core where k damages (after a) with one
+    # where it fails (after b); only c, seen by the attacker, separates
+    # them, and k damages after a c
+    alph = S.Alphabet.make(("a", "b", "c", "k"), controllable=("a", "b", "c", "k"),
+                           attackable=("k",), attacker_observable=("c", "k"))
+    con = S.ControlConstraint.from_alphabet(alph)
+    plant = S.PartialDFA(alph, ("q0", "qa", "qb", "qc", "qd", "qx", "qe"),
+                         {(0, "a"): 1, (0, "b"): 2, (1, "c"): 3, (1, "k"): 4,
+                          (2, "k"): 5, (3, "k"): 6})
+    sup = S.Supervisor(S.PartialDFA(alph, ("x0", "x1", "x2"),
+                                    {(0, "a"): 1, (0, "b"): 1, (1, "c"): 2}),
+                       con)
+    damage = S.totalize(S.PartialDFA(
+        alph, ("z0", "za", "zb", "zc", "zd"),
+        {(0, "a"): 1, (0, "b"): 2, (1, "c"): 3, (1, "k"): 4, (3, "k"): 4},
+        0, frozenset({4})))
+    ac = S.AttackConstraint.from_alphabet(alph)
+    verdict = S.non_attackable(plant, sup, damage, ac)
+    assert not verdict.non_attackable
+    assert_witness_replays(plant, sup, damage, ac, verdict)
+    assert verdict.witness.observations == ((None, ("c",)), ("c", ()))
+    assert verdict.witness.event == "k"
+
+
 DESCRIBE_INSTANCES = """
 import random
 from conftest import random_attack_instance

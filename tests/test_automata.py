@@ -4,7 +4,8 @@ import pytest
 
 import supobf as S
 from supobf.automata import explore
-from conftest import marked_strings_upto, random_alphabet, random_plant, strings_upto
+from conftest import (marked_strings_upto, random_alphabet, random_plant,
+                      shortlex, strings_upto)
 
 
 def simple_alphabet(*events, controllable=None):
@@ -198,6 +199,24 @@ def test_language_equal_brute_force_agreement():
         assert eq == brute
         if not eq:
             assert S.accepts(a, w) != S.accepts(b, w)
+
+
+def test_language_equal_witness_is_the_first_in_shortlex_order():
+    # the witness is the first string of the symmetric difference by
+    # length, then alphabet index, not only some shortest one
+    rng = random.Random(8080)
+    checked = 0
+    for _ in range(80):
+        alph = random_alphabet(rng)
+        a = random_plant(rng, alph, 3)
+        b = random_plant(rng, alph, 3)
+        eq, w = S.language_equal(a, b)
+        if eq:
+            continue
+        diff = strings_upto(a, len(w)) ^ strings_upto(b, len(w))
+        assert min(diff, key=shortlex(alph)) == w
+        checked += 1
+    assert checked >= 40
 
 
 def test_accepts_epsilon_and_unknown_event(tri):

@@ -208,3 +208,40 @@ def test_missing_section_reported_without_line(tmp_path, capsys):
     broken.write_text(text[:text.index("[damage]")])
     assert main(["validate", str(broken)]) == 2
     assert capsys.readouterr().err == "error: missing section [damage]\n"
+
+
+def example1_with_damage_state(name: str, tmp_path) -> tuple[Path, int]:
+    """example1 with an unreachable damage state ``name``, which
+    auto-completion gives a transition line per event when emitted; the
+    file and the line number of the damage's ``states:``."""
+    text = (FIXTURES / "example1.prob").read_text()
+    lines = text.splitlines()
+    at = lines.index("[damage]") + 1
+    assert lines[at].startswith("states: ")
+    lines[at] += " " + name
+    path = tmp_path / "named.prob"
+    path.write_text("\n".join(lines) + "\n")
+    return path, at + 1
+
+
+def test_state_name_starting_with_bracket_is_an_input_error(tmp_path, capsys):
+    path, line = example1_with_damage_state("[bad", tmp_path)
+    out = tmp_path / "out.prob"
+    assert main(["validate", str(path)]) == 2
+    assert main(["obfuscate", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count(f"error: line {line}: state name '[bad'") == 2
+    assert not out.exists()
+
+
+def test_obfuscate_out_round_trips_bracketed_names(tmp_path, capsys):
+    # a name with '[' after its first character is accepted, and the file
+    # obfuscate writes reads back
+    path, _ = example1_with_damage_state("x[9]", tmp_path)
+    out = tmp_path / "out.prob"
+    assert main(["obfuscate", str(path), "--out", str(out)]) == 0
+    assert "x[9] a sink" in out.read_text().splitlines()
+    assert main(["validate", str(out)]) == 0
+    assert main(["check", str(out)]) == 0
+    assert S.load_problem(str(out)).damage.names == \
+        S.load_problem(str(path)).damage.names

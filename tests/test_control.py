@@ -3,8 +3,8 @@ import random
 import pytest
 
 import supobf as S
-from conftest import (random_alphabet, random_plant,
-                      random_supervisor_automaton, strings_upto)
+from conftest import (random_alphabet, random_damage, random_plant,
+                      random_supervisor_automaton, shortlex, strings_upto)
 
 
 def test_control_constraint_normality():
@@ -121,6 +121,28 @@ def test_validate_damage_epsilon_marked_fails(atk):
     h = S.totalize(S.PartialDFA(alph, ("z0",), {}, 0, frozenset({0})))
     report = S.validate_damage(h, S.closed_loop(atk.plant, atk.supervisor))
     assert not report.ok and report.witness == ()
+
+
+def test_validate_damage_witness_is_the_first_in_shortlex_order():
+    # the damage string reported is the first closed-loop string marked
+    # by the damage automaton, by length, then alphabet index
+    rng = random.Random(9090)
+    checked = 0
+    for _ in range(300):
+        alph = random_alphabet(rng)
+        c = S.ControlConstraint.from_alphabet(alph)
+        g = random_plant(rng, alph)
+        sup = S.Supervisor(random_supervisor_automaton(rng, alph, c), c)
+        h = random_damage(rng, alph)
+        loop = S.closed_loop(g, sup)
+        w = S.validate_damage(h, loop).witness
+        if not w:
+            continue
+        damaging = {s for s in strings_upto(loop, len(w))
+                    if h.is_marked(h.run(s))}
+        assert min(damaging, key=shortlex(alph)) == w
+        checked += 1
+    assert checked >= 40
 
 
 def test_validate_damage_requires_marking_and_totality(atk):

@@ -150,3 +150,26 @@ def test_missing_section_has_no_line(section):
         parse_problem("\n".join(lines[:start] + lines[end:]))
     assert str(err.value) == f"missing section [{section}]"
     assert err.value.line is None
+
+
+def test_state_name_starting_with_bracket_rejected_at_its_line():
+    # emitted, a transition line from such a state would read as a section
+    # header; a '[' later in the name is harmless
+    lines = MINIMAL.splitlines()
+    at = lines.index("states: z0") + 1
+    with pytest.raises(ParseError) as err:
+        parse_problem(MINIMAL.replace("states: z0", "states: z0 [bad"))
+    assert err.value.line == at and "'[bad'" in str(err.value)
+    pf = parse_problem(MINIMAL.replace("states: z0", "states: z0 z[1] ]z"))
+    assert pf.damage.names[:3] == ("z0", "z[1]", "]z")
+
+
+def test_event_name_starting_with_bracket_rejected():
+    with pytest.raises(S.AutomatonError, match="bad event name"):
+        S.Alphabet.make(("a", "[b"))
+    assert S.Alphabet.make(("a", "b[", "c]")).events == ("a", "b[", "c]")
+    text = MINIMAL.replace("[alphabet]\na", "[alphabet]\na [b")
+    with pytest.raises(ParseError) as err:
+        parse_problem(text)
+    assert err.value.line == MINIMAL.splitlines().index("[alphabet]") + 2
+    assert "'[b'" in str(err.value)

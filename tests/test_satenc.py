@@ -13,7 +13,15 @@ def make_vt(n, events, controllable, observable, num_product=0):
     alph = S.Alphabet.make(events, controllable=controllable,
                            observable=observable)
     c = S.ControlConstraint.from_alphabet(alph)
-    return VarTable(n, alph, c, num_product)
+    return grown_table(n, alph, c, num_product)
+
+
+def grown_table(n, alph, constraint, num_product):
+    """A variable table grown from empty to ``n`` rows."""
+    vt = VarTable(alph, constraint, num_product)
+    for _ in range(n):
+        vt.add_row()
+    return vt
 
 
 def product_of(pf):
@@ -124,8 +132,8 @@ def test_separation_structure_no_b_marks():
     s = S.PartialDFA(alph, ("x0",), {(0, "a"): 0})
     prod = S.dual_marked_product(S.complete(g), S.complete(s))
     assert prod.mark_b == frozenset()
-    vt = VarTable(1, alph, S.ControlConstraint.from_alphabet(alph),
-                  prod.n_states)
+    vt = grown_table(1, alph, S.ControlConstraint.from_alphabet(alph),
+                     prod.n_states)
     clauses = S.separation_clauses(vt, prod, 0)
     units = [c for c in clauses if len(c) == 1]
     # initial reachability plus one dump-row prohibition per A-marked state
@@ -139,7 +147,7 @@ def test_separation_leaves_out_what_the_marking_units_decide(perf):
     # unit clauses; no other separation clause mentions them
     prod = product_of(perf)
     assert prod.mark_a and prod.mark_b
-    vt = VarTable(2, prod.alphabet, perf.control, prod.n_states)
+    vt = grown_table(2, prod.alphabet, perf.control, prod.n_states)
     dead = {vt.reach_var(S.DUMP, y) for y in prod.mark_a}
     for k in (0, 1):
         dead |= {vt.reach_var(k, y) for y in prod.mark_b}
@@ -157,7 +165,7 @@ def test_single_state_fixture_solution(single):
     backend = S.solve_instance(cnf)
     assert backend.solve()
     decoded = S.decode_model(backend.model(), vt)
-    assert decoded.automaton.trans == {(0, "a"): 0}
+    assert decoded.trans == {(0, "a"): 0}
     # of the two candidate assignments only the self-loop survives
     other = SatSolver()
     other.reserve(cnf.num_vars)
@@ -176,9 +184,9 @@ def test_tri_bounds(tri):
     assert backend.solve()
     decoded = S.decode_model(backend.model(), vt2)
     loop = S.closed_loop(tri.plant, tri.supervisor)
-    eq, _ = S.language_equal(S.sync_product(tri.plant, decoded.automaton), loop)
+    eq, _ = S.language_equal(S.sync_product(tri.plant, decoded), loop)
     assert eq
-    assert S.check_supervisor(decoded.automaton, tri.control) == []
+    assert S.check_supervisor(decoded, tri.control) == []
 
 
 def test_bulk_load_matches_clause_by_clause(tri, atk):
@@ -200,8 +208,7 @@ def test_bulk_load_matches_clause_by_clause(tri, atk):
             while len(models) < 40 and backend.solve([vt.capacity_var(n)]):
                 model = backend.model()
                 models.append(model)
-                rows = S.decode_model(model, vt).rows
-                backend.add_clause(S.blocking_clause(model, vt, rows))
+                backend.add_clause(S.blocking_clause(model, vt))
             runs.append((models, backend.stats))
         assert runs[0] == runs[1]
         assert runs[0][0]
@@ -221,7 +228,7 @@ def test_parent_variables_follow_the_breadth_first_numbering(atk, perf):
         while models < 60 and backend.solve(size):
             model = backend.model()
             decoded = S.decode_model(model, vt)
-            assert S.reachable_states(decoded.automaton) == [0, 1, 2, 3]
+            assert S.reachable_states(decoded) == [0, 1, 2, 3]
             fixed = size + [v if model[v] else -v
                             for _, _, _, v in vt.iter_trans_vars()]
             for j, i, p in vt.iter_parent_vars():
@@ -230,7 +237,7 @@ def test_parent_variables_follow_the_breadth_first_numbering(atk, perf):
                 assert model[p] == (i == parent)
                 if i != parent:
                     assert not backend.solve(fixed + [p])
-            backend.add_clause(S.blocking_clause(model, vt, decoded.rows))
+            backend.add_clause(S.blocking_clause(model, vt))
             models += 1
         assert models == 60
 
@@ -247,16 +254,16 @@ def test_tri_unsat_at_1_matches_brute_force(tri):
 def test_decode_all_dump_row():
     alph = S.Alphabet.make(("a", "u"), controllable=("a",), observable=("a",))
     c = S.ControlConstraint.from_alphabet(alph)
-    vt = VarTable(1, alph, c, 0)
+    vt = grown_table(1, alph, c, 0)
     model = {vt.trans_var(0, "a", j): j == S.DUMP for j in (0, S.DUMP)}
     decoded = S.decode_model(model, vt)
-    assert decoded.automaton.trans == {(0, "u"): 0}
-    assert decoded.rows == (0,)
+    assert decoded.trans == {(0, "u"): 0}
+    assert decoded.names == ("s0",)
 
 
 def test_decode_rejects_double_successor():
     alph = S.Alphabet.make(("a",), controllable=("a",))
-    vt = VarTable(1, alph, S.ControlConstraint.from_alphabet(alph), 0)
+    vt = grown_table(1, alph, S.ControlConstraint.from_alphabet(alph), 0)
     model = {vt.trans_var(0, "a", 0): True,
              vt.trans_var(0, "a", S.DUMP): True}
     with pytest.raises(S.BackendError):
@@ -269,8 +276,7 @@ def test_blocking_clause_widths(tri, single):
     backend = S.solve_instance(cnf)
     assert backend.solve()
     model = backend.model()
-    decoded = S.decode_model(model, vt)
-    assert len(S.blocking_clause(model, vt, decoded.rows)) == 1
+    assert len(S.blocking_clause(model, vt)) == 1
 
     prod = product_of(tri)
     cnf, vt = S.encode(2, prod, tri.control)
@@ -278,19 +284,19 @@ def test_blocking_clause_widths(tri, single):
     assert backend.solve()
     model = backend.model()
     decoded = S.decode_model(model, vt)
-    assert len(decoded.rows) == 2
-    clause = S.blocking_clause(model, vt, decoded.rows)
+    assert decoded.names == ("s0", "s1")
+    clause = S.blocking_clause(model, vt)
     assert len(clause) == 4  # two rows, two observable events
     # after blocking, the same reachable transition function never returns
     backend.add_clause(clause)
-    seen = {tuple(sorted(decoded.automaton.trans.items()))}
+    seen = {tuple(sorted(decoded.trans.items()))}
     while backend.solve():
         model = backend.model()
         d = S.decode_model(model, vt)
-        key = tuple(sorted(d.automaton.trans.items()))
+        key = tuple(sorted(d.trans.items()))
         assert key not in seen
         seen.add(key)
-        backend.add_clause(S.blocking_clause(model, vt, d.rows))
+        backend.add_clause(S.blocking_clause(model, vt))
 
 
 def test_soundness_on_random_instances():
@@ -309,8 +315,8 @@ def test_soundness_on_random_instances():
         if not backend.solve():
             continue
         decoded = S.decode_model(backend.model(), vt)
-        assert S.check_supervisor(decoded.automaton, constraint) == []
-        eq, w = S.language_equal(S.sync_product(plant, decoded.automaton),
+        assert S.check_supervisor(decoded, constraint) == []
+        eq, w = S.language_equal(S.sync_product(plant, decoded),
                                  S.closed_loop(plant, sup))
         assert eq, f"decoded candidate changes the closed loop on {w}"
         checked += 1
@@ -476,8 +482,8 @@ def test_dimacs_round_trip_and_external_solve(tri):
     for v in range(1, parsed.num_vars + 1):
         model.setdefault(v, False)
     decoded = S.decode_model(model, vt)
-    assert decoded.rows == (0, 1)
-    eq, _ = S.language_equal(S.sync_product(tri.plant, decoded.automaton),
+    assert S.reachable_states(decoded) == [0, 1]
+    eq, _ = S.language_equal(S.sync_product(tri.plant, decoded),
                              S.closed_loop(tri.plant, tri.supervisor))
     assert eq
 
@@ -510,7 +516,7 @@ def test_capacity_literals_restrict_the_size(tri):
     # that holds the earlier ones, the newest capacity literal selects the
     # size, and the retired ones admit no model
     prod = product_of(tri)
-    vt = VarTable(0, prod.alphabet, tri.control, prod.n_states)
+    vt = VarTable(prod.alphabet, tri.control, prod.n_states)
     backend, grown, answers = None, [], []
     for n in (1, 2, 3):
         cnf, same = S.encode(n, prod, tri.control, vt)
@@ -522,7 +528,7 @@ def test_capacity_literals_restrict_the_size(tri):
         answers.append(backend.solve([vt.capacity_var(n)]))
         if answers[-1]:
             decoded = S.decode_model(backend.model(), vt)
-            assert decoded.rows == tuple(range(n))
+            assert S.reachable_states(decoded) == list(range(n))
         for m in range(1, n):
             assert not backend.solve([vt.capacity_var(m)])
     # tri needs two states

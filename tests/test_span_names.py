@@ -77,3 +77,18 @@ def test_obfuscate_loads_every_row_through_the_traced_names(monkeypatch,
         perf.plant, perf.supervisor, perf.control, perf.attack, perf.damage))
     assert [r.n for r in result.trace] == [1, 2]
     assert calls["obfuscate.encode"] == calls["obfuscate.solve_instance"] == 2
+
+
+def test_obfuscate_decodes_blocks_and_keys_each_model_once(monkeypatch, atk):
+    # atk enumerates one model at size 1 and nine at size 2: each is
+    # decoded, blocked and keyed exactly once, so the decode and
+    # canonical-key layers time one call per model
+    calls = count_calls(monkeypatch)
+    result = obfuscate_mod.obfuscate(S.ObfuscationRequest(
+        atk.plant, atk.supervisor, atk.control, atk.attack, atk.damage))
+    assert [r.candidates for r in result.trace] == [1, 9]
+    models = result.solver_stats["models"]
+    assert models == result.candidates_tested == 10
+    assert calls["obfuscate.decode_model"] == models
+    assert calls["obfuscate.blocking_clause"] == models
+    assert calls["obfuscate.canonical_key"] == models

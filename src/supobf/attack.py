@@ -230,7 +230,7 @@ def non_attackable(g: PartialDFA, s: Supervisor, h: PartialDFA,
     observation sequence to the first labelled set in breadth-first order
     and the least event of its label."""
     if validate:
-        report = validate_damage(h, closed_loop(g, s), plant=g)
+        report = validate_damage(h, closed_loop(g, s))
         if not report.ok:
             raise AutomatonError("; ".join(report.problems))
     gp = generalized_product(g, annotate_supervisor(s), h, ac)

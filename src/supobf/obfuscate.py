@@ -124,8 +124,7 @@ def obfuscate(req: ObfuscationRequest,
     sup_aut = req.supervisor.automaton
     constraint = req.target_constraint
     req.attack.check_against(constraint)
-    report = validate_damage(req.damage, closed_loop(plant, req.supervisor),
-                             plant=plant)
+    report = validate_damage(req.damage, closed_loop(plant, req.supervisor))
     if not report.ok:
         raise ValueError("damage validation failed: " + "; ".join(report.problems))
 

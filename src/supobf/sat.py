@@ -36,11 +36,19 @@ The backend contract expected by the encoding layer:
   produce identical models and statistics.
 
 Conflict analysis is first-UIP with activity-based branching (decayed
-scores, lowest index wins ties) and false-first polarity.  A variable
-enters the branching heap when reserved and whenever a backtrack
-unassigns it, so an empty heap means a total assignment.  There are no
-restarts; the solver is complete without them and the instances produced
-by the encoder are desk-scale.
+scores, lowest index wins ties) and false-first polarity.  Each decision
+takes the unassigned variable of highest activity.  The branching heap
+holds ``(-activity, variable)`` keys, and every unassigned variable has
+one live entry there, its current key (the flag ``_queued``): reserving
+a variable queues it, a bump in conflict analysis (always of an
+assigned variable) makes its entry stale, and a backtrack queues the
+variables it unassigns that have no live entry.  A pick drops stale
+entries and the live entries of assigned variables, so an empty heap
+means a total assignment.  When a bump takes an activity past
+``_ACT_LIMIT``, every activity is scaled down and the heap is rebuilt
+from the unassigned variables at their new keys.  There are no restarts;
+the solver is complete without them and the instances produced by the
+encoder are desk-scale.
 
 Layout: values and watch lists are indexed by the signed literal itself.
 Both lists have ``2 * num_vars + 1`` entries ordered ``[unused, +1 ..
@@ -53,7 +61,7 @@ activities stay indexed by variable.
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Optional
 
 
@@ -78,6 +86,7 @@ class SatSolver:
         self._activity: list[float] = [0.0]
         self._seen: list[bool] = [False]  # conflict analysis scratch
         self._heap: list[tuple[float, int]] = []
+        self._queued: list[bool] = [False]  # a live entry in _heap
         self._act_inc = 1.0
         self._trail: list[int] = []
         self._trail_lim: list[int] = []
@@ -105,6 +114,7 @@ class SatSolver:
         self._reason += [None] * grow
         self._activity += [0.0] * grow
         self._seen += [False] * grow
+        self._queued += [True] * grow
         for u in range(old + 1, v + 1):
             heappush(self._heap, (0.0, u))
         self.num_vars = v
@@ -212,11 +222,10 @@ class SatSolver:
             qhead += 1
             ws = watches[falsified]
             kept = 0
-            i = 0
-            end = len(ws)
-            while i < end:
-                clause = ws[i]
-                i += 1
+            moved = 0
+            # moved watches go to other lists, so ws only changes behind
+            # the loop: ws[kept] is a visited slot
+            for clause in ws:
                 first = clause[0]
                 if first == falsified:
                     first = clause[1]
@@ -227,29 +236,36 @@ class SatSolver:
                     ws[kept] = clause
                     kept += 1
                     continue
-                for k in range(2, len(clause)):
+                n = len(clause)
+                if n > 2:
+                    # a new watch: the first literal from clause[2] on that
+                    # is not false (most clauses are ternary)
+                    k = 2
+                    if n > 3:
+                        while k < n - 1 and value[clause[k]] == _FALSE:
+                            k += 1
                     lit = clause[k]
                     if value[lit] != _FALSE:
                         clause[1] = lit
                         clause[k] = falsified
                         watches[lit].append(clause)
-                        break
-                else:
-                    ws[kept] = clause
-                    kept += 1
-                    if value[first] == _FALSE:
-                        conflict = clause
-                        break
-                    value[first] = _TRUE
-                    value[-first] = _FALSE
-                    v = first if first > 0 else -first
-                    level[v] = cur
-                    reason[v] = clause
-                    trail.append(first)
-                    props += 1
-            # the moved watches sit in ws[kept:i]; on a conflict the
-            # unvisited ones after them stay
-            del ws[kept:i]
+                        moved += 1
+                        continue
+                ws[kept] = clause
+                kept += 1
+                if value[first] == _FALSE:
+                    conflict = clause
+                    break
+                value[first] = _TRUE
+                value[-first] = _FALSE
+                v = first if first > 0 else -first
+                level[v] = cur
+                reason[v] = clause
+                trail.append(first)
+                props += 1
+            # the moved watches sit in ws[kept:kept + moved]; on a conflict
+            # the unvisited ones after them stay
+            del ws[kept:kept + moved]
             if conflict is not None:
                 break
         self._qhead = qhead
@@ -265,7 +281,7 @@ class SatSolver:
         reason = self._reason
         seen = self._seen
         activity = self._activity
-        heap = self._heap
+        queued = self._queued
         trail = self._trail
         inc = self._act_inc
         act_limit = _ACT_LIMIT
@@ -282,13 +298,13 @@ class SatSolver:
                 v = q if q > 0 else -q
                 if not seen[v] and level[v] > 0:
                     seen[v] = True
-                    # bump the activity; rescale all of them past the limit
+                    # bump the activity, which makes v's heap entry stale
+                    # (v is assigned: the backtrack queues it again)
                     activity[v] += inc
+                    queued[v] = False
                     if activity[v] > act_limit:
-                        for u in range(1, self.num_vars + 1):
-                            activity[u] *= 1e-100
                         inc *= 1e-100
-                    heappush(heap, (-activity[v], v))
+                        self._rescale()
                     if level[v] >= cur_level:
                         counter += 1
                     else:
@@ -331,23 +347,49 @@ class SatSolver:
         trail = self._trail
         value = self._value
         activity = self._activity
+        queued = self._queued
         heap = self._heap
         # levels and reasons are read only while assigned: they stay
         for lit in trail[mark:]:
             value[lit] = _UNSET
             value[-lit] = _UNSET
             v = lit if lit > 0 else -lit
-            heappush(heap, (-activity[v], v))
+            if not queued[v]:
+                queued[v] = True
+                heappush(heap, (-activity[v], v))
         del trail[mark:]
         del trail_lim[level:]
         if self._qhead > mark:
             self._qhead = mark
 
+    def _rescale(self) -> None:
+        """Scale every activity down and rebuild the heap from the
+        unassigned variables at their new keys."""
+        activity = self._activity
+        value = self._value
+        n = self.num_vars
+        for u in range(1, n + 1):
+            activity[u] *= 1e-100
+        free = [u for u in range(1, n + 1) if value[u] == _UNSET]
+        self._heap[:] = [(-activity[u], u) for u in free]
+        heapify(self._heap)
+        queued = self._queued  # in place: _analyze holds this list
+        queued[:] = [False] * (n + 1)
+        for u in free:
+            queued[u] = True
+
     def _pick_variable(self) -> Optional[int]:
+        """The unassigned variable with the highest activity, the lowest
+        index on ties; None when every variable is assigned."""
         heap = self._heap
         value = self._value
+        activity = self._activity
+        queued = self._queued
         while heap:
-            v = heappop(heap)[1]
+            key, v = heappop(heap)
+            if key != -activity[v]:
+                continue  # pushed before a bump
+            queued[v] = False
             if value[v] == _UNSET:
                 return v
         return None

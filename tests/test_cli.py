@@ -151,6 +151,31 @@ def test_check_and_closed_loop_match_golden(name, tmp_path, capsys):
     assert loop.read_bytes() == (GOLDEN / f"{name}.closed-loop.dot").read_bytes()
 
 
+def test_damage_string_outside_the_plant_only_warns(tmp_path, capsys):
+    # example1 with one more marked damage string, "a a", that the plant
+    # cannot generate: validate warns about it, and the check verdict and
+    # the obfuscation result are example1's
+    head, damage = (FIXTURES / "example1.prob").read_text(
+        encoding="utf-8").split("[damage]")
+    damage = (damage.replace("states: 0 1 2 3 4 5 6 7 8",
+                             "states: 0 1 2 3 4 5 6 7 8 9")
+              .replace("marked: 8", "marked: 8 9") + "1 a 9\n")
+    stray = tmp_path / "stray.prob"
+    stray.write_text(head + "[damage]" + damage, encoding="utf-8")
+    assert main(["validate", str(stray)]) == 0
+    assert ("warning: damage string not generable by the plant: a a"
+            in capsys.readouterr().err)
+    assert main(["check", str(stray), "--witness"]) == 1
+    assert (capsys.readouterr().out.encode("utf-8")
+            == (GOLDEN / "example1.witness.txt").read_bytes())
+    out = tmp_path / "run.json"
+    assert main(["obfuscate", str(stray), "--json", str(out)]) == 0
+    result = json.loads(out.read_text(encoding="utf-8"))
+    golden = json.loads((GOLDEN / "example1.json").read_text(encoding="utf-8"))
+    assert result.pop("input_sha256") != golden.pop("input_sha256")
+    assert result == golden
+
+
 def test_synth_bp_dimacs_encodes_once(tmp_path, monkeypatch, capsys):
     calls = []
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import supobf as S
-from supobf.sat import SatSolver
+from supobf.sat import _UNSET, SatSolver
 
 TRAJECTORY = Path(__file__).resolve().parent / "golden" / "sat_trajectory.json"
 
@@ -372,6 +372,91 @@ def assumption_set(rng, num_vars):
             for v in rng.sample(range(1, num_vars + 1), rng.randint(0, 3))]
 
 
+@pytest.mark.parametrize("act_limit", [3.0, 0.5],
+                         ids=["act_limit_3", "act_limit_0.5"])
+@pytest.mark.parametrize("test", [
+    test_assumptions_against_brute_force,
+    test_blocking_enumeration_across_assumption_sets,
+    test_load_clauses_after_solving_against_brute_force,
+], ids=lambda test: test.__name__[len("test_"):])
+def test_brute_force_answers_under_forced_rescales(monkeypatch, test,
+                                                   act_limit):
+    # the same answers when a low activity limit makes the solver rescale
+    # its activities and rebuild its branching heap: 3.0 mid-search where
+    # a variable gathers enough bumps, 0.5 at every solver's first
+    # analysed conflict, since the first bump is 1.0 (the assumption
+    # test's tiny instances reach conflict analysis twice in all)
+    monkeypatch.setattr("supobf.sat._ACT_LIMIT", act_limit)
+    rescale = SatSolver._rescale
+    rescales = 0
+
+    def counted(self):
+        nonlocal rescales
+        rescales += 1
+        rescale(self)
+
+    monkeypatch.setattr(SatSolver, "_rescale", counted)
+    test()
+    if act_limit < 1.0:
+        assert rescales > 0
+
+
+@pytest.mark.parametrize("act_limit", [None, 3.0],
+                         ids=["default", "act_limit_3"])
+def test_branching_picks_the_most_active_unassigned_variable(monkeypatch,
+                                                             act_limit):
+    # at every decision the branching heap yields the unassigned variable
+    # of highest activity, the lowest index on ties, including after a
+    # rescale, across assumptions, blocking clauses, variables reserved
+    # between solves and clauses loaded after solving
+    if act_limit is not None:
+        monkeypatch.setattr("supobf.sat._ACT_LIMIT", act_limit)
+    pick = SatSolver._pick_variable
+    seen = {"picks": 0, "after_rescale": 0}
+
+    def checked(self):
+        free = [(-self._activity[v], v) for v in range(1, self.num_vars + 1)
+                if self._value[v] == _UNSET]
+        got = pick(self)
+        assert got == (min(free)[1] if free else None)
+        seen["picks"] += 1
+        seen["after_rescale"] += self._act_inc < 1.0
+        return got
+
+    monkeypatch.setattr(SatSolver, "_pick_variable", checked)
+    rng = random.Random(1979)
+
+    def three_cnf(num_vars, count):
+        return [[rng.choice([1, -1]) * v
+                 for v in rng.sample(range(1, num_vars + 1), 3)]
+                for _ in range(count)]
+
+    for _ in range(60):
+        num_vars = rng.randint(10, 24)
+        clauses = three_cnf(num_vars, 4 * num_vars)
+        if rng.random() < 0.5:
+            s = S.solve_instance(S.CnfInstance(num_vars, clauses))
+        else:
+            s = SatSolver()
+            s.reserve(num_vars)
+            for cl in clauses:
+                s.add_clause(cl)
+        for step in range(12):
+            if s.solve(assumption_set(rng, num_vars)):
+                model = s.model()
+                s.add_clause([-v if model[v] else v
+                              for v in rng.sample(sorted(model), 6)])
+            if step % 4 == 3:
+                old = num_vars
+                num_vars += 2
+                s.reserve(num_vars)
+                s.load_clauses(three_cnf(num_vars, 6)
+                               + [[old + 1, -(old + 2)]])
+    assert seen["picks"] >= 1000
+    if act_limit is not None:
+        assert seen["after_rescale"] >= 500
+
+
 def sat_trajectory():
     """Answers, models and final statistics of seeded solver runs.
 
@@ -428,10 +513,20 @@ def sat_trajectory():
     return out
 
 
-def test_search_trajectory_matches_golden(monkeypatch):
-    # the same decisions, conflicts, propagations and models as the runs
-    # recorded in the golden file; a low activity limit reaches the rescale
+@pytest.mark.parametrize("half, act_limit",
+                         [("default", None), ("act_limit_50", 50.0)],
+                         ids=["default", "act_limit_50"])
+def test_search_trajectory_matches_golden(monkeypatch, half, act_limit):
+    """The same decisions, conflicts, propagations and models as the runs
+    recorded under ``half`` in the golden file.  ``act_limit_50`` runs
+    with ``supobf.sat._ACT_LIMIT`` at 50.0, low enough to reach the
+    activity rescale.
+
+    To capture a half again, run ``sat_trajectory()`` under the same
+    patch and store its result under that key alone, with the file
+    written as ``json.dumps(golden, indent=1)`` (no final newline), so
+    that the diff shows which half moved."""
+    if act_limit is not None:
+        monkeypatch.setattr("supobf.sat._ACT_LIMIT", act_limit)
     golden = json.loads(TRAJECTORY.read_text(encoding="utf-8"))
-    assert sat_trajectory() == golden["default"]
-    monkeypatch.setattr("supobf.sat._ACT_LIMIT", 50.0)
-    assert sat_trajectory() == golden["act_limit_50"]
+    assert sat_trajectory() == golden[half]

@@ -83,30 +83,31 @@ def generalized_product(g: PartialDFA, sa: AnnotatedSupervisor,
         raise AutomatonError("damage automaton needs an explicit marked set")
     ac.check_against(sup.constraint)
 
-    observable = sup.constraint.observable
-    x_step = sup.automaton.step
+    # what the attacker sees of each supervisor-observable event
+    seen = {ev: ev if ev in ac.attacker_observable else None
+            for ev in sup.constraint.observable}
+    commands = sa.commands
+    g_rows, x_rows, h_rows = g.delta, sup.automaton.delta, h.delta
 
     def successors(core):
         q, x, z = core
-        for ev in g.alphabet.events:
-            q2 = g.step(q, ev)
-            x2 = x_step(x, ev)
-            if q2 is None or x2 is None:
+        x_row, h_row = x_rows[x], h_rows[z]
+        out = []
+        for ev, q2 in g_rows[q].items():
+            x2 = x_row.get(ev)
+            if x2 is None:
                 continue
-            if ev in observable:
-                seen = ev if ev in ac.attacker_observable else None
-                key = (ev, (seen, sa.commands[x2]))
-            else:
-                key = (ev, None)
-            yield key, (q2, x2, h.step(z, ev))
+            key = (ev, (seen[ev], commands[x2]) if ev in seen else None)
+            out.append((key, (q2, x2, h_row[ev])))
+        return out
 
     order, trans = explore((g.initial, sup.automaton.initial, h.initial),
                            successors)
     attack_events = tuple(e for e in g.alphabet.events if e in ac.attackable)
-    attack = {(src, ev): h.is_marked(h.step(z, ev))
+    attack = {(src, ev): h_rows[z][ev] in h.marked
               for src, (q, x, z) in enumerate(order)
               for ev in attack_events
-              if g.step(q, ev) is not None and x_step(x, ev) is None}
+              if ev in g_rows[q] and ev not in x_rows[x]}
     names = tuple(f"({g.names[q]},{sup.automaton.names[x]},{h.names[z]})"
                   for q, x, z in order)
     return GPAutomaton(names, tuple(order), trans, attack, 0, attack_events)
@@ -282,6 +283,11 @@ def attackable_by_search(g: PartialDFA, s: Supervisor, h: PartialDFA,
     closed-loop language was exhausted within the bound and budget; for
     cyclic loops at large bounds the search is truncated and reported
     inconclusive.
+
+    The differential tests compare :func:`non_attackable` against this
+    search, so it reads every move through ``step`` and never through the
+    per-state ``delta`` tables that the products walk: a fault in those
+    tables cannot reach both sides.
     """
     if len_bound < 1:
         raise AutomatonError("length bound must be at least 1")
@@ -289,7 +295,9 @@ def attackable_by_search(g: PartialDFA, s: Supervisor, h: PartialDFA,
         raise AutomatonError("damage automaton must be total and marked")
     sup = s.automaton
     observable = s.constraint.observable
-    commands = tuple(tuple(sorted(sup.enabled(x))) for x in range(sup.n_states))
+    commands = tuple(tuple(sorted(ev for ev in sup.alphabet.events
+                                  if sup.step(x, ev) is not None))
+                     for x in range(sup.n_states))
 
     # nodes are (plant, supervisor, damage, observation); several strings
     # can share a node and are interchangeable for the check

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 
@@ -95,7 +96,7 @@ class PartialDFA:
     States are integers ``0 .. len(names)-1``; ``names`` holds display
     names.  ``marked is None`` means every state is marked (the common,
     non-marking case).  The transition map must not be mutated after
-    construction.
+    construction: :attr:`delta` caches a table built from it.
     """
 
     alphabet: Alphabet
@@ -123,6 +124,22 @@ class PartialDFA:
     def n_states(self) -> int:
         return len(self.names)
 
+    @cached_property
+    def delta(self) -> tuple[dict[str, int], ...]:
+        """Per-state successor table: ``delta[q]`` maps each event defined
+        at ``q`` to its successor, in alphabet order whatever the insertion
+        order of ``trans``, since walks that read it number their states in
+        that order.  Built on first use and kept."""
+        # bucket the moves by event, then fill the rows event by event
+        by_event = {ev: [] for ev in self.alphabet.events}
+        for (src, ev), dst in self.trans.items():
+            by_event[ev].append((src, dst))
+        rows = tuple({} for _ in self.names)
+        for ev, moves in by_event.items():
+            for src, dst in moves:
+                rows[src][ev] = dst
+        return rows
+
     def step(self, state: int, event: str) -> Optional[int]:
         return self.trans.get((state, event))
 
@@ -138,7 +155,7 @@ class PartialDFA:
         return state
 
     def enabled(self, state: int) -> frozenset[str]:
-        return frozenset(ev for (src, ev) in self.trans if src == state)
+        return frozenset(self.delta[state])
 
     def is_marked(self, state: int) -> bool:
         return self.marked is None or state in self.marked
@@ -302,16 +319,25 @@ def sync_product(a: PartialDFA, b: PartialDFA) -> PartialDFA:
     in which case a pair is marked when both components are.
     """
     alphabet = _merge_alphabets(a.alphabet, b.alphabet)
-    a_events = set(a.alphabet.events)
-    b_events = set(b.alphabet.events)
+    if a.alphabet.events == b.alphabet.events:
+        # every event is shared: walk the left row, in alphabet order
+        a_rows, b_rows = a.delta, b.delta
 
-    def successors(pair):
-        pa, pb = pair
-        for ev in alphabet.events:
-            na = a.step(pa, ev) if ev in a_events else pa
-            nb = b.step(pb, ev) if ev in b_events else pb
-            if na is not None and nb is not None:
-                yield ev, (na, nb)
+        def successors(pair):
+            b_row = b_rows[pair[1]]
+            return [(ev, (na, nb)) for ev, na in a_rows[pair[0]].items()
+                    if (nb := b_row.get(ev)) is not None]
+    else:
+        a_events = set(a.alphabet.events)
+        b_events = set(b.alphabet.events)
+
+        def successors(pair):
+            pa, pb = pair
+            for ev in alphabet.events:
+                na = a.step(pa, ev) if ev in a_events else pa
+                nb = b.step(pb, ev) if ev in b_events else pb
+                if na is not None and nb is not None:
+                    yield ev, (na, nb)
 
     order, trans = explore((a.initial, b.initial), successors)
     names = tuple(f"({a.names[pa]},{b.names[pb]})" for pa, pb in order)
@@ -328,11 +354,15 @@ def dual_marked_product(gbar: CompleteDFA, sbar: CompleteDFA) -> DualMarkedDFA:
     marking pairs that witness the two languages to be separated."""
     if gbar.alphabet.events != sbar.alphabet.events:
         raise AutomatonError("operands must share an alphabet")
-    events = gbar.alphabet.events
-    order, trans = explore(
-        (gbar.inner.initial, sbar.inner.initial),
-        lambda pair: ((ev, (gbar.step(pair[0], ev), sbar.step(pair[1], ev)))
-                      for ev in events))
+    # both completions are total, so every row lists the whole alphabet
+    g_rows, s_rows = gbar.inner.delta, sbar.inner.delta
+
+    def successors(pair):
+        s_row = s_rows[pair[1]]
+        return [(ev, (ng, s_row[ev])) for ev, ng in g_rows[pair[0]].items()]
+
+    order, trans = explore((gbar.inner.initial, sbar.inner.initial),
+                           successors)
     names = tuple(f"({gbar.inner.names[pg]},{sbar.inner.names[ps]})"
                   for pg, ps in order)
     mark_a = frozenset(i for i, (pg, ps) in enumerate(order)

@@ -9,7 +9,6 @@ uncontrollable events.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -169,23 +168,33 @@ def validate_damage(h: PartialDFA, loop: PartialDFA,
 
 
 def _marked_reach(left: PartialDFA, h: PartialDFA, alive=None):
-    """Shortest string tracked by both automata that is marked in ``h``;
+    """Shortest string tracked by both automata that is marked in ``h``,
+    the first such string in shortlex order over ``h``'s alphabet;
     ``alive`` optionally filters the left component's states."""
+    marked = h.marked if h.marked is not None else range(h.n_states)
     start = (left.initial, h.initial)
-    if h.is_marked(h.initial) and (alive is None or alive(left.initial)):
+    if h.initial in marked and (alive is None or alive(left.initial)):
         return ()
-    seen = {start}
-    queue = deque([(start, ())])
-    while queue:
-        (ql, qh), path = queue.popleft()
-        for ev in h.alphabet.events:
-            nl = left.step(ql, ev)
-            nh = h.step(qh, ev)
-            if nl is None or nh is None:
+    left_rows, h_rows = left.delta, h.delta
+    # breadth-first over the pairs; ``parent`` holds the edge that
+    # discovered each pair, and ``order`` is the queue
+    parent = {start: None}
+    order = [start]
+    for pair in order:
+        ql, qh = pair
+        left_row = left_rows[ql]
+        for ev, nh in h_rows[qh].items():
+            nl = left_row.get(ev)
+            if nl is None:
                 continue
-            if h.is_marked(nh) and (alive is None or alive(nl)):
-                return path + (ev,)
-            if (nl, nh) not in seen:
-                seen.add((nl, nh))
-                queue.append(((nl, nh), path + (ev,)))
+            if nh in marked and (alive is None or alive(nl)):
+                path = [ev]
+                while parent[pair] is not None:
+                    pair, ev = parent[pair]
+                    path.append(ev)
+                return tuple(reversed(path))
+            nxt = (nl, nh)
+            if nxt not in parent:
+                parent[nxt] = (pair, ev)
+                order.append(nxt)
     return None

@@ -197,6 +197,38 @@ def test_non_attackable_validates_damage(atk):
         S.non_attackable(atk.plant, atk.supervisor, bad, atk.attack)
 
 
+@pytest.mark.parametrize("marked, total, verify_error, obfuscate_error", [
+    ({1}, False, (S.AutomatonError, "damage automaton is not total"),
+     (ValueError, "damage validation failed: damage automaton is not total")),
+    (None, False,
+     (S.AutomatonError, "damage automaton needs an explicit marked set"),
+     (S.AutomatonError, "damage automaton needs an explicit marked set")),
+    ({1}, True, (S.AutomatonError, "closed loop reaches a damage string"),
+     (ValueError,
+      "damage validation failed: closed loop reaches a damage string")),
+], ids=["partial_and_reached", "unmarked_partial_and_reached",
+        "reached_only"])
+def test_first_damage_fault_reported(atk, marked, total, verify_error,
+                                     obfuscate_error):
+    # z1 is reached by the closed-loop string "a"; the first fault in
+    # validation order is the one reported, by both entry points
+    h = S.PartialDFA(atk.plant.alphabet, ("z0", "z1"), {(0, "a"): 1}, 0,
+                     None if marked is None else frozenset(marked))
+    if total:
+        h = S.totalize(h)
+    assert S.is_total(h) == total
+    req = S.ObfuscationRequest(atk.plant, atk.supervisor, atk.control,
+                               atk.attack, h)
+    for call, (kind, message) in (
+            (lambda: S.non_attackable(atk.plant, atk.supervisor, h,
+                                      atk.attack), verify_error),
+            (lambda: S.obfuscate(req), obfuscate_error)):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert type(info.value) is kind
+        assert str(info.value) == message
+
+
 def test_oracle_atk(atk):
     r = S.attackable_by_search(atk.plant, atk.supervisor, atk.damage,
                                atk.attack, 3)

@@ -4,8 +4,9 @@ import pytest
 
 import supobf as S
 from supobf.automata import explore
-from conftest import (marked_strings_upto, random_alphabet, random_plant,
-                      shortlex, strings_upto)
+from conftest import (marked_strings_upto, random_alphabet, random_damage,
+                      random_damaged_instance, random_plant, shortlex,
+                      strings_upto)
 
 
 def simple_alphabet(*events, controllable=None):
@@ -301,3 +302,61 @@ def test_explore_order_and_transitions():
     assert explore("s", successors, lambda q: True) == (["s"], {})
     assert calls == []
     assert explore("s", successors, lambda q: False) == (order, trans)
+
+
+def _reinserted(p, items):
+    return S.PartialDFA(p.alphabet, p.names, dict(items), p.initial, p.marked)
+
+
+def shuffled_copy(rng, p):
+    """``p`` with its ``trans`` dict filled in a random order."""
+    items = list(p.trans.items())
+    rng.shuffle(items)
+    return _reinserted(p, items)
+
+
+def alphabet_ordered_copy(p):
+    """``p`` with its ``trans`` dict filled state by state, in alphabet
+    order within each state."""
+    return _reinserted(p, sorted(p.trans.items(), key=lambda kv: (
+        kv[0][0], p.alphabet.index(kv[0][1]))))
+
+
+def test_delta_rows_follow_the_alphabet_whatever_the_insertion_order():
+    rng = random.Random(1066)
+    unordered_rows = 0
+    for _ in range(60):
+        p = shuffled_copy(rng, random_plant(rng, random_alphabet(rng), 6))
+        for q in range(p.n_states):
+            moves = [(ev, p.step(q, ev)) for ev in p.alphabet.events
+                     if p.step(q, ev) is not None]
+            assert list(p.delta[q].items()) == moves
+            assert p.enabled(q) == frozenset(ev for ev, _ in moves)
+            inserted = [ev for (src, ev) in p.trans if src == q]
+            unordered_rows += inserted != [ev for ev, _ in moves]
+    # the shuffle must put many rows out of alphabet order
+    assert unordered_rows >= 30
+
+
+def test_products_do_not_depend_on_the_insertion_order_of_trans():
+    rng = random.Random(1067)
+    for _ in range(40):
+        plant, sup, damage, attack = random_damaged_instance(rng, 5)
+        # a damage automaton the closed loop may reach, for the witness
+        reached = random_damage(rng, plant.alphabet, 5)
+        views = []
+        for copy in (alphabet_ordered_copy,
+                     lambda p: shuffled_copy(rng, p)):
+            g, x, h, r = (copy(a) for a in (plant, sup.automaton, damage,
+                                            reached))
+            s = S.Supervisor(x, sup.constraint)
+            loop = S.sync_product(g, x)
+            witness = S.validate_damage(r, loop).witness
+            dm = S.dual_marked_product(S.complete(g), S.complete(x))
+            gp = S.generalized_product(g, S.annotate_supervisor(s), h, attack)
+            views.append((
+                loop.names, list(loop.trans.items()), loop.marked,
+                dm.names, dm.pairs, list(dm.trans.items()), dm.mark_a,
+                dm.mark_b, gp.names, gp.cores, list(gp.trans.items()),
+                list(gp.attack.items()), witness))
+        assert views[0] == views[1]

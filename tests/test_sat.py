@@ -367,6 +367,87 @@ def test_blocking_enumeration_across_assumption_sets():
                          if any(consistent(m, a) for a in sets)}
 
 
+def threshold_3cnf(rng, num_vars):
+    """Random 3-CNF with three distinct variables per clause, near the
+    satisfiability threshold of about 4.26 clauses per variable."""
+    count = round(4.26 * num_vars) + rng.randint(-4, 2)
+    return [[rng.choice([1, -1]) * v
+             for v in rng.sample(range(1, num_vars + 1), 3)]
+            for _ in range(count)]
+
+
+def models_by_bitmask(num_vars, clauses):
+    """:func:`brute_force_sat` for larger instances: assignment ``i``
+    makes variable ``v`` true iff bit ``v - 1`` of ``i`` is set, and each
+    clause is the OR of its literals' masks over all assignments."""
+    size = 1 << num_vars
+    every = (1 << size) - 1
+    true_at = [0] + [sum(1 << i for i in range(size) if i >> (v - 1) & 1)
+                     for v in range(1, num_vars + 1)]
+    sat = every
+    for clause in clauses:
+        hit = 0
+        for lit in clause:
+            mask = true_at[abs(lit)]
+            hit |= mask if lit > 0 else every ^ mask
+        sat &= hit
+    return {frozenset(v for v in range(1, num_vars + 1) if i >> (v - 1) & 1)
+            for i in range(size) if sat >> i & 1}
+
+
+def test_models_by_bitmask_matches_brute_force():
+    rng = random.Random(4260)
+    for _ in range(100):
+        num_vars, clauses = random_cnf(rng, 6, 14)
+        assert models_by_bitmask(num_vars, clauses) == \
+            brute_force_sat(num_vars, clauses)
+
+
+def test_threshold_3cnf_against_brute_force():
+    # 3-CNF with 8-10 variables near the threshold reaches conflict
+    # analysis far more often than the tiny instances above; each solver
+    # answers under assumptions, then enumerates every model with
+    # blocking clauses, which keeps clauses and watches moving
+    rng = random.Random(4261)
+    analyze = SatSolver._analyze
+    analyzed = 0
+
+    def counted(self, conflict):
+        nonlocal analyzed
+        analyzed += 1
+        return analyze(self, conflict)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SatSolver, "_analyze", counted)
+        for _ in range(40):
+            num_vars = rng.randint(8, 10)
+            clauses = threshold_3cnf(rng, num_vars)
+            expected = models_by_bitmask(num_vars, clauses)
+            s = SatSolver()
+            s.reserve(num_vars)
+            for cl in clauses:
+                s.add_clause(cl)
+            for _ in range(4):
+                assumptions = assumption_set(rng, num_vars)
+                want = any(consistent(m, assumptions) for m in expected)
+                assert s.solve(assumptions) == want
+                if want:
+                    model = s.model()
+                    assert check_model(model, clauses)
+                    assert all(model[abs(l)] == (l > 0) for l in assumptions)
+            found = set()
+            while s.solve():
+                model = s.model()
+                key = frozenset(v for v, b in model.items() if b)
+                assert key not in found, "enumeration repeated a model"
+                found.add(key)
+                s.add_clause([-v if model[v] else v for v in model])
+            assert found == expected
+    # 306 at this seed (308 with the activity limit at 3.0); the instances
+    # of test_assumptions_against_brute_force reach it twice in all
+    assert analyzed >= 250
+
+
 def assumption_set(rng, num_vars):
     return [rng.choice([1, -1]) * v
             for v in rng.sample(range(1, num_vars + 1), rng.randint(0, 3))]
@@ -376,6 +457,7 @@ def assumption_set(rng, num_vars):
                          ids=["act_limit_3", "act_limit_0.5"])
 @pytest.mark.parametrize("test", [
     test_assumptions_against_brute_force,
+    test_threshold_3cnf_against_brute_force,
     test_blocking_enumeration_across_assumption_sets,
     test_load_clauses_after_solving_against_brute_force,
 ], ids=lambda test: test.__name__[len("test_"):])

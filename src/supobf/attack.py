@@ -19,9 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .automata import AutomatonError, PartialDFA, explore, is_total
+from .automata import (AutomatonError, PartialDFA, _dot_quote, explore,
+                       is_total)
 from .control import (AttackConstraint, Supervisor, closed_loop,
-                      control_command, validate_damage)
+                      validate_damage)
 
 Command = tuple[str, ...]          # sorted event tuple
 ObsEvent = tuple[Optional[str], Command]   # (seen event or None, command)
@@ -35,15 +36,11 @@ class AnnotatedSupervisor:
     supervisor: Supervisor
     commands: tuple[Command, ...]              # per state
 
-    @property
-    def n_states(self) -> int:
-        return self.supervisor.n_states
-
 
 def annotate_supervisor(s: Supervisor) -> AnnotatedSupervisor:
-    commands = tuple(tuple(sorted(control_command(s, x)))
-                     for x in range(s.automaton.n_states))
-    return AnnotatedSupervisor(s, commands)
+    # the command at a state is the set of events defined there
+    return AnnotatedSupervisor(s, tuple(tuple(sorted(row))
+                                        for row in s.automaton.delta))
 
 
 @dataclass(frozen=True)
@@ -118,26 +115,24 @@ class AttackerView:
     """The product with events projected to attacker observations: bare
     supervisor-unobservable moves become epsilon transitions, observable
     ones keep their (seen event, command) pair and may turn
-    nondeterministic."""
+    nondeterministic.  Successor lists keep the order in which the
+    product recorded its moves and may repeat a state; the subset
+    construction reads them as sets."""
 
-    n_states: int
     initial: int
-    eps: dict          # state -> tuple of epsilon successors
-    moves: dict        # state -> {ObsEvent: tuple of successors}
+    eps: dict          # state -> list of epsilon successors
+    moves: dict        # state -> {ObsEvent: list of successors}
 
 
 def project_attacker_view(gp: GPAutomaton) -> AttackerView:
-    eps: dict[int, set[int]] = {}
-    moves: dict[int, dict[ObsEvent, set[int]]] = {}
+    eps: dict[int, list[int]] = {}
+    moves: dict[int, dict[ObsEvent, list[int]]] = {}
     for (src, (ev, view)), dst in gp.trans.items():
         if view is None:
-            eps.setdefault(src, set()).add(dst)
+            eps.setdefault(src, []).append(dst)
         else:
-            moves.setdefault(src, {}).setdefault(view, set()).add(dst)
-    return AttackerView(gp.n_states, gp.initial,
-                        {v: tuple(sorted(dsts)) for v, dsts in eps.items()},
-                        {v: {obs: tuple(sorted(dsts)) for obs, dsts in out.items()}
-                         for v, out in moves.items()})
+            moves.setdefault(src, {}).setdefault(view, []).append(dst)
+    return AttackerView(gp.initial, eps, moves)
 
 
 @dataclass(frozen=True)
@@ -205,9 +200,12 @@ def determinize_and_label(view: AttackerView, gp: GPAutomaton,
 
 @dataclass(frozen=True)
 class AttackWitness:
+    """A shortest observation sequence to a labelled knowledge set, the
+    set itself (indices into the verdict's ``product``) and the least
+    event of its label."""
+
     observations: tuple[ObsEvent, ...]
     subset: frozenset[int]
-    subset_names: tuple[str, ...]
     event: str
 
 
@@ -252,9 +250,7 @@ def non_attackable(g: PartialDFA, s: Supervisor, h: PartialDFA,
         cur, obs = parents[cur]
         path.append(obs)
     path.reverse()
-    subset = sub.subsets[last]
-    witness = AttackWitness(tuple(path), subset,
-                            tuple(gp.names[v] for v in sorted(subset)),
+    witness = AttackWitness(tuple(path), sub.subsets[last],
                             min(sub.labels[last]))
     return AttackVerdict(False, witness, sub, gp)
 
@@ -376,17 +372,19 @@ def subset_to_dot(sub: SubsetAutomaton, gp: GPAutomaton,
         seen, cmd = obs
         return f"({seen or 'ε'},{{{','.join(cmd)}}})"
 
-    lines = [f'digraph "{title}" {{', "  rankdir=LR;", "  __init__ [shape=point];"]
+    lines = [f"digraph {_dot_quote(title)} {{", "  rankdir=LR;",
+             "  __init__ [shape=point];"]
     for i, subset in enumerate(sub.subsets):
-        label = "{" + ",".join(gp.names[v] for v in sorted(subset)) + "}"
+        members = "{" + ",".join(gp.names[v] for v in sorted(subset)) + "}"
         if sub.labels[i]:
-            label += "\\nattack: " + ",".join(sorted(sub.labels[i]))
-            lines.append(f'  n{i} [label="{label}" style=filled fillcolor=lightcoral];')
+            label = _dot_quote(members,
+                               "attack: " + ",".join(sorted(sub.labels[i])))
+            lines.append(f"  n{i} [label={label} style=filled fillcolor=lightcoral];")
         else:
-            lines.append(f'  n{i} [label="{label}"];')
+            lines.append(f"  n{i} [label={_dot_quote(members)}];")
     lines.append(f"  __init__ -> n{sub.initial};")
     for (src, obs), dst in sorted(sub.trans.items(),
                                   key=lambda kv: (kv[0][0], kv[1], str(kv[0][1]))):
-        lines.append(f'  n{src} -> n{dst} [label="{fmt_obs(obs)}"];')
+        lines.append(f"  n{src} -> n{dst} [label={_dot_quote(fmt_obs(obs))}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

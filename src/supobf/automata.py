@@ -77,14 +77,6 @@ class Alphabet:
         return cls(events, frozenset(controllable), frozenset(observable),
                    frozenset(attackable), frozenset(attacker_observable))
 
-    @property
-    def uncontrollable(self) -> frozenset[str]:
-        return frozenset(self.events) - self.controllable
-
-    @property
-    def unobservable(self) -> frozenset[str]:
-        return frozenset(self.events) - self.observable
-
     def index(self, event: str) -> int:
         return self.events.index(event)
 
@@ -435,8 +427,11 @@ def canonical_key(p: PartialDFA) -> tuple:
     return (len(order), tuple(sorted((i, k, j) for (i, k), j in trans.items())))
 
 
-def _dot_quote(s: str) -> str:
-    return '"' + s.replace('"', '\\"') + '"'
+def _dot_quote(*lines: str) -> str:
+    """A DOT quoted string of ``lines``, escaped and joined by DOT's
+    ``\\n`` line break."""
+    return '"' + "\\n".join(line.replace("\\", "\\\\").replace('"', '\\"')
+                           for line in lines) + '"'
 
 
 def to_dot(obj, title: str = "automaton") -> str:

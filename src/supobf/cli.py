@@ -146,19 +146,21 @@ def cmd_obfuscate(args) -> int:
             "trans": sorted([aut.names[s], e, aut.names[d]]
                             for (s, e), d in aut.trans.items()),
         }
+    # write the files before the report, so a file that cannot be written
+    # leaves stdout empty
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(summary, sort_keys=True, indent=2) + "\n")
-    if result.found:
-        print(f"found: {result.size}-state resilient behavior-preserving supervisor")
-        sys.stdout.write(emit_automaton_section("supervisor",
-                                                result.supervisor.automaton))
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(emit_problem(with_supervisor(pf, result.supervisor)))
-        return EXIT_OK
-    print(f"not found up to size {result.n_max}")
-    return EXIT_NEGATIVE
+    if not result.found:
+        print(f"not found up to size {result.n_max}")
+        return EXIT_NEGATIVE
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(emit_problem(with_supervisor(pf, result.supervisor)))
+    print(f"found: {result.size}-state resilient behavior-preserving supervisor")
+    sys.stdout.write(emit_automaton_section("supervisor",
+                                            result.supervisor.automaton))
+    return EXIT_OK
 
 
 def cmd_oracle(args) -> int:

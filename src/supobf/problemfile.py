@@ -243,10 +243,9 @@ def emit_automaton_section(name: str, aut: PartialDFA) -> str:
     if aut.marked is not None:
         lines.append("marked: " + " ".join(aut.names[q] for q in sorted(aut.marked)))
     lines.append("trans:")
-    for (src, ev), dst in sorted(aut.trans.items(),
-                                 key=lambda kv: (kv[0][0],
-                                                 aut.alphabet.index(kv[0][1]))):
-        lines.append(f"{aut.names[src]} {ev} {aut.names[dst]}")
+    for src, row in enumerate(aut.delta):
+        lines.extend(f"{aut.names[src]} {ev} {aut.names[dst]}"
+                     for ev, dst in row.items())
     return "\n".join(lines) + "\n"
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import random
 import subprocess
@@ -521,9 +522,7 @@ def first_labelled_witness(full: S.SubsetAutomaton, gp: S.GPAutomaton):
             while cur != full.initial:
                 cur, obs = parents[cur]
                 path.append(obs)
-            subset = full.subsets[i]
-            return S.AttackWitness(tuple(reversed(path)), subset,
-                                   tuple(gp.names[v] for v in sorted(subset)),
+            return S.AttackWitness(tuple(reversed(path)), full.subsets[i],
                                    min(lab))
     return None
 
@@ -555,6 +554,46 @@ def test_early_stop_matches_full_construction():
             assert early == full
         attackable += not verdict.non_attackable
     assert attackable >= 30
+
+
+def test_subset_construction_ignores_the_order_of_view_successors():
+    # the view keeps the product's moves in recording order; the subset
+    # construction must read each successor list, and each state's
+    # observations, as a set
+    fixtures = [load_fixture(name) for name in
+                ("atk", "example1", "example1_obfuscated", "perf", "single",
+                 "tri")]
+    instances = [(pf.plant, pf.supervisor, pf.damage, pf.attack)
+                 for pf in fixtures]
+    rng = random.Random(4242)
+    instances += [random_damaged_instance(rng, max_states=5)
+                  for _ in range(200)]
+    shuffler = random.Random(77)
+    reordered = 0
+
+    def mixed(items):
+        nonlocal reordered
+        out = list(items)
+        shuffler.shuffle(out)
+        reordered += out != list(items)
+        return out
+
+    for plant, sup, damage, attack in instances:
+        gp = generalized_product(plant, annotate_supervisor(sup), damage,
+                                 attack)
+        view = project_attacker_view(gp)
+        shuffled = dataclasses.replace(
+            view,
+            eps={v: mixed(dsts) for v, dsts in view.eps.items()},
+            moves={v: {obs: mixed(dsts) for obs, dsts in mixed(out.items())}
+                   for v, out in view.moves.items()})
+        for stop in (False, True):
+            a = determinize_and_label(view, gp, stop_at_label=stop)
+            b = determinize_and_label(shuffled, gp, stop_at_label=stop)
+            assert a.subsets == b.subsets
+            assert list(a.trans.items()) == list(b.trans.items())
+            assert a.labels == b.labels
+    assert reordered >= 100
 
 
 def test_verdict_construction_ends_at_the_witness(atk, example1):

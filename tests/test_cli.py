@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -149,6 +150,59 @@ def test_check_and_closed_loop_match_golden(name, tmp_path, capsys):
     assert view.read_bytes() == (GOLDEN / f"{name}.check.dot").read_bytes()
     assert main(["closed-loop", fixture(name), "--dot", str(loop)]) == 0
     assert loop.read_bytes() == (GOLDEN / f"{name}.closed-loop.dot").read_bytes()
+
+
+@pytest.mark.parametrize("name", GOLDEN_NAMES)
+def test_closed_loop_and_obfuscate_out_match_golden(name, tmp_path, capsys):
+    assert main(["closed-loop", fixture(name)]) == 0
+    out = capsys.readouterr().out
+    assert out.encode("utf-8") == \
+        (GOLDEN / f"{name}.closed-loop.txt").read_bytes()
+    problem = tmp_path / "out.prob"
+    code = main(["obfuscate", fixture(name), "--out", str(problem)])
+    if name == "atk":
+        assert code == 1 and not problem.exists()
+    else:
+        assert code == 0
+        assert problem.read_bytes() == (GOLDEN / f"{name}.out.prob").read_bytes()
+
+
+def test_obfuscate_out_that_cannot_be_written_prints_no_report(tmp_path,
+                                                                 capsys):
+    out = tmp_path / "missing" / "x.prob"
+    assert main(["obfuscate", fixture("tri"), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
+def dot_labels(text: str) -> list[str]:
+    """Every ``label=`` value of a DOT text, decoded.  Each must be a
+    quoted string in which a backslash escapes the next character, and the
+    attribute must end right after its closing quote."""
+    quoted = re.findall(r'label=("(?:[^"\\]|\\.)*")[ \]]', text)
+    assert len(quoted) == text.count("label=")
+    return [re.sub(r"\\(.)", lambda m: "\n" if m[1] == "n" else m[1], q[1:-1])
+            for q in quoted]
+
+
+def test_dot_labels_escape_quotes_and_backslashes(tmp_path, capsys):
+    # atk with a quote in a state name and in the attack event, and a
+    # backslash in the other event, which the supervisor enables after it
+    text = (FIXTURES / "atk.prob").read_text()
+    text = re.sub(r"\bq0\b", 'q"0', text)
+    text = re.sub(r"\bk\b", 'k"', text)
+    text = re.sub(r"\ba\b", "b\\\\", text)
+    text = text.replace("x0 b\\ x1\n", "x0 b\\ x1\nx1 b\\ x1\n")
+    path = tmp_path / "quoted.prob"
+    path.write_text(text)
+    view, loop = tmp_path / "view.dot", tmp_path / "loop.dot"
+    assert main(["check", str(path), "--dot", str(view)]) == 1
+    assert main(["closed-loop", str(path), "--dot", str(loop)]) == 0
+    capsys.readouterr()
+    assert dot_labels(view.read_text()) == [
+        '{(q"0,x0,z0)}\nattack: k"', "{(q1,x1,sink)}", "(ε,{b\\})"]
+    assert dot_labels(loop.read_text()) == ['(q"0,x0)', "(q1,x1)", "b\\"]
 
 
 def test_damage_string_outside_the_plant_only_warns(tmp_path, capsys):

@@ -364,15 +364,14 @@ def attackable_by_search(g: PartialDFA, s: Supervisor, h: PartialDFA,
     return OracleResult(False, exhausted, exhausted, None, seen_count)
 
 
-def subset_to_dot(sub: SubsetAutomaton, gp: GPAutomaton,
-                  title: str = "attacker-view") -> str:
+def subset_to_dot(sub: SubsetAutomaton, gp: GPAutomaton) -> str:
     """Graphviz rendering of the determinized attacker view; labeled
     knowledge sets are highlighted."""
     def fmt_obs(obs: ObsEvent) -> str:
         seen, cmd = obs
         return f"({seen or 'ε'},{{{','.join(cmd)}}})"
 
-    lines = [f"digraph {_dot_quote(title)} {{", "  rankdir=LR;",
+    lines = ['digraph "attacker-view" {', "  rankdir=LR;",
              "  __init__ [shape=point];"]
     for i, subset in enumerate(sub.subsets):
         members = "{" + ",".join(gp.names[v] for v in sorted(subset)) + "}"

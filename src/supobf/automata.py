@@ -1,4 +1,6 @@
-"""Deterministic partial finite automata: alphabets, completion, products.
+"""Deterministic partial finite automata over one alphabet: completion,
+products, canonical forms.  Walks read the per-state ``delta`` rows;
+``step`` stays for the reference checks the tests compare them against.
 
 All values are immutable after construction; functions return fresh
 automata and never mutate their inputs.
@@ -178,13 +180,6 @@ class CompleteDFA:
     def alphabet(self) -> Alphabet:
         return self.inner.alphabet
 
-    @property
-    def n_states(self) -> int:
-        return self.inner.n_states
-
-    def step(self, state: int, event: str) -> int:
-        return self.inner.trans[(state, event)]
-
 
 @dataclass(frozen=True)
 class DualMarkedDFA:
@@ -197,7 +192,6 @@ class DualMarkedDFA:
     """
 
     alphabet: Alphabet
-    names: tuple[str, ...]
     pairs: tuple[tuple[int, int], ...]
     trans: dict  # (state, event) -> state, total on reachable part
     initial: int
@@ -210,7 +204,7 @@ class DualMarkedDFA:
 
     @property
     def n_states(self) -> int:
-        return len(self.names)
+        return len(self.pairs)
 
     def step(self, state: int, event: str) -> int:
         return self.trans[(state, event)]
@@ -237,11 +231,13 @@ def complete(p: PartialDFA) -> CompleteDFA:
     return CompleteDFA(inner, p.n_states)
 
 
-def totalize(p: PartialDFA, sink_name: str = "sink") -> PartialDFA:
+def totalize(p: PartialDFA) -> PartialDFA:
     """Make the transition map total by adding a non-marked absorbing sink,
-    preserving the original marked set.  Used for damage automata."""
+    named ``sink`` (primed until the name is free), preserving the original
+    marked set.  Used for damage automata."""
     if is_total(p):
         return p
+    sink_name = "sink"
     while sink_name in p.names:
         sink_name += "'"
     marked = p.marked if p.marked is not None else range(p.n_states)
@@ -251,17 +247,6 @@ def totalize(p: PartialDFA, sink_name: str = "sink") -> PartialDFA:
 def is_total(p: PartialDFA) -> bool:
     return all((q, ev) in p.trans
                for q in range(p.n_states) for ev in p.alphabet.events)
-
-
-def _merge_alphabets(a: Alphabet, b: Alphabet) -> Alphabet:
-    if a == b:
-        return a
-    events = list(a.events) + [e for e in b.events if e not in a.events]
-    return Alphabet(tuple(events),
-                    a.controllable | b.controllable,
-                    a.observable | b.observable,
-                    a.attackable | b.attackable,
-                    a.attacker_observable | b.attacker_observable)
 
 
 def explore(start: Hashable,
@@ -304,32 +289,20 @@ def explore(start: Hashable,
 
 
 def sync_product(a: PartialDFA, b: PartialDFA) -> PartialDFA:
-    """Synchronous product, retaining only the reachable pairs.
+    """Synchronous product over one alphabet, keeping only reachable pairs.
 
-    Shared events move both components, private events move one.  The
-    result is marked only if at least one operand carries a marked set,
-    in which case a pair is marked when both components are.
+    The result is marked only if at least one operand carries a marked
+    set, in which case a pair is marked when both components are.
     """
-    alphabet = _merge_alphabets(a.alphabet, b.alphabet)
-    if a.alphabet.events == b.alphabet.events:
-        # every event is shared: walk the left row, in alphabet order
-        a_rows, b_rows = a.delta, b.delta
+    if a.alphabet.events != b.alphabet.events:
+        raise AutomatonError("operands must share an alphabet")
+    # every event is shared: walk the left row, in alphabet order
+    a_rows, b_rows = a.delta, b.delta
 
-        def successors(pair):
-            b_row = b_rows[pair[1]]
-            return [(ev, (na, nb)) for ev, na in a_rows[pair[0]].items()
-                    if (nb := b_row.get(ev)) is not None]
-    else:
-        a_events = set(a.alphabet.events)
-        b_events = set(b.alphabet.events)
-
-        def successors(pair):
-            pa, pb = pair
-            for ev in alphabet.events:
-                na = a.step(pa, ev) if ev in a_events else pa
-                nb = b.step(pb, ev) if ev in b_events else pb
-                if na is not None and nb is not None:
-                    yield ev, (na, nb)
+    def successors(pair):
+        b_row = b_rows[pair[1]]
+        return [(ev, (na, nb)) for ev, na in a_rows[pair[0]].items()
+                if (nb := b_row.get(ev)) is not None]
 
     order, trans = explore((a.initial, b.initial), successors)
     names = tuple(f"({a.names[pa]},{b.names[pb]})" for pa, pb in order)
@@ -338,7 +311,7 @@ def sync_product(a: PartialDFA, b: PartialDFA) -> PartialDFA:
     else:
         marked = frozenset(i for i, (pa, pb) in enumerate(order)
                            if a.is_marked(pa) and b.is_marked(pb))
-    return PartialDFA(alphabet, names, trans, 0, marked)
+    return PartialDFA(a.alphabet, names, trans, 0, marked)
 
 
 def dual_marked_product(gbar: CompleteDFA, sbar: CompleteDFA) -> DualMarkedDFA:
@@ -355,14 +328,11 @@ def dual_marked_product(gbar: CompleteDFA, sbar: CompleteDFA) -> DualMarkedDFA:
 
     order, trans = explore((gbar.inner.initial, sbar.inner.initial),
                            successors)
-    names = tuple(f"({gbar.inner.names[pg]},{sbar.inner.names[ps]})"
-                  for pg, ps in order)
     mark_a = frozenset(i for i, (pg, ps) in enumerate(order)
                        if pg != gbar.dump and ps != sbar.dump)
     mark_b = frozenset(i for i, (pg, ps) in enumerate(order)
                        if pg != gbar.dump and ps == sbar.dump)
-    return DualMarkedDFA(gbar.alphabet, names, tuple(order), trans, 0,
-                         mark_a, mark_b)
+    return DualMarkedDFA(gbar.alphabet, tuple(order), trans, 0, mark_a, mark_b)
 
 
 def language_equal(a: PartialDFA, b: PartialDFA):
@@ -401,14 +371,11 @@ def accepts(a: PartialDFA, seq: Sequence[str], marked: bool = False) -> bool:
 
 
 def _successors(p: PartialDFA):
-    """Successor function of ``p`` for :func:`explore`, labelled by the
-    event's index in the alphabet."""
-    def successors(q):
-        for k, ev in enumerate(p.alphabet.events):
-            dst = p.trans.get((q, ev))
-            if dst is not None:
-                yield k, dst
-    return successors
+    """Successor function of ``p`` for :func:`explore` over its ``delta``
+    rows, labelled by the event's index in the alphabet."""
+    index = {ev: k for k, ev in enumerate(p.alphabet.events)}
+    rows = p.delta
+    return lambda q: [(index[ev], dst) for ev, dst in rows[q].items()]
 
 
 def reachable_states(p: PartialDFA) -> list[int]:
@@ -434,38 +401,17 @@ def _dot_quote(*lines: str) -> str:
                            for line in lines) + '"'
 
 
-def to_dot(obj, title: str = "automaton") -> str:
-    """Graphviz rendering of a partial, complete or dual-marked automaton."""
+def to_dot(p: PartialDFA, title: str = "automaton") -> str:
+    """Graphviz rendering of a partial automaton; marked states are drawn
+    as double circles."""
     lines = [f"digraph {_dot_quote(title)} {{", "  rankdir=LR;",
              "  __init__ [shape=point];"]
-    if isinstance(obj, CompleteDFA):
-        p, dump = obj.inner, obj.dump
-        marks_a, marks_b = set(), set()
-    elif isinstance(obj, DualMarkedDFA):
-        p, dump = None, None
-        names, trans, initial = obj.names, obj.trans, obj.initial
-        marks_a, marks_b = obj.mark_a, obj.mark_b
-    else:
-        p, dump = obj, None
-        marks_a, marks_b = set(), set()
-    if p is not None:
-        names, trans, initial = p.names, p.trans, p.initial
-    for i, name in enumerate(names):
-        attrs = []
-        if p is not None and p.marked is not None and i in p.marked:
-            attrs.append("shape=doublecircle")
-        else:
-            attrs.append("shape=circle")
-        if dump is not None and i == dump:
-            attrs.append("style=dashed")
-        if i in marks_a:
-            attrs.append('style=filled fillcolor=palegreen')
-        if i in marks_b:
-            attrs.append('style=filled fillcolor=lightcoral')
-        lines.append(f"  n{i} [label={_dot_quote(name)} {' '.join(attrs)}];")
-    lines.append(f"  __init__ -> n{initial};")
+    for i, name in enumerate(p.names):
+        shape = "doublecircle" if p.marked is not None and i in p.marked else "circle"
+        lines.append(f"  n{i} [label={_dot_quote(name)} shape={shape}];")
+    lines.append(f"  __init__ -> n{p.initial};")
     grouped = {}
-    for (src, ev), dst in sorted(trans.items(), key=lambda kv: (kv[0][0], kv[1], kv[0][1])):
+    for (src, ev), dst in sorted(p.trans.items(), key=lambda kv: (kv[0][0], kv[1], kv[0][1])):
         grouped.setdefault((src, dst), []).append(ev)
     for (src, dst), evs in grouped.items():
         lines.append(f"  n{src} -> n{dst} [label={_dot_quote(','.join(evs))}];")

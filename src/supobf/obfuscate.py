@@ -53,8 +53,12 @@ class ObfuscationRequest:
 class SizeTrace:
     n: int
     candidates: int   # exact-size behavior-preserving supervisors
-    tested: int       # non-attackability checks run
     resilient: int    # candidates that passed
+
+    @property
+    def tested(self) -> int:
+        """Non-attackability checks run: one per candidate."""
+        return self.candidates
 
 
 @dataclass
@@ -63,10 +67,14 @@ class ObfuscationResult:
     supervisor: Optional[Supervisor]
     size: Optional[int]
     n_max: int
-    candidates_tested: int
     trace: list[SizeTrace]
     solver_stats: dict
     truncated: bool = False
+
+    @property
+    def candidates_tested(self) -> int:
+        """Candidates verified over the whole climb: one per model."""
+        return self.solver_stats["models"]
 
 
 def iter_size_candidates(backend: SatSolver, vt: VarTable,
@@ -142,12 +150,11 @@ def obfuscate(req: ObfuscationRequest,
     for n in range(1, n_max + 1):
         cnf, _ = encode(n, product, constraint, vt)  # adds row n - 1
         backend = solve_instance(cnf, backend)
-        row = SizeTrace(n, 0, 0, 0)
+        row = SizeTrace(n, 0, 0)
         for key, cand in iter_size_candidates(backend, vt,
                                               req.enumeration_limit):
             row.candidates += 1
             candidate = Supervisor(cand, constraint)
-            row.tested += 1
             verdict = non_attackable(plant, candidate, req.damage, req.attack,
                                      validate=False)
             if verdict.non_attackable:
@@ -163,7 +170,7 @@ def obfuscate(req: ObfuscationRequest,
             break
     solver_stats = dict(backend.stats, models=models)
     if winner is None:
-        return ObfuscationResult(False, None, None, n_max, models, trace,
+        return ObfuscationResult(False, None, None, n_max, trace,
                                  solver_stats, truncated)
-    return ObfuscationResult(True, winner[1], trace[-1].n, n_max, models,
-                             trace, solver_stats, truncated)
+    return ObfuscationResult(True, winner[1], trace[-1].n, n_max, trace,
+                             solver_stats, truncated)

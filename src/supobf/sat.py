@@ -413,9 +413,6 @@ class SatSolver:
             keep += 1
         self._backtrack(keep)
         self._assumed = assumptions
-        if not self._trail_lim and self._propagate() is not None:
-            self._unsat = True
-            return False
         value = self._value
         trail = self._trail
         trail_lim = self._trail_lim

@@ -1,6 +1,7 @@
 import pytest
 
 import supobf as S
+from conftest import FIXTURES
 from supobf.problemfile import (ParseError, emit_problem, parse_problem,
                                 with_supervisor)
 
@@ -173,3 +174,14 @@ def test_event_name_starting_with_bracket_rejected():
         parse_problem(text)
     assert err.value.line == MINIMAL.splitlines().index("[alphabet]") + 2
     assert "'[b'" in str(err.value)
+
+
+@pytest.mark.parametrize("repair", [False, True])
+def test_parsing_builds_no_successor_tables(repair):
+    # the parse-time checks read ``trans``: the ``delta`` rows are built
+    # on first use by a walk, never while a file is read
+    for path in sorted(FIXTURES.glob("*.prob")):
+        pf = parse_problem(path.read_text(encoding="utf-8"),
+                           repair_selfloops=repair)
+        for aut in (pf.plant, pf.supervisor.automaton, pf.damage):
+            assert "delta" not in aut.__dict__, path.name

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import os
 import random
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 import supobf as S
 from supobf.attack import (annotate_supervisor, determinize_and_label,
                            generalized_product, project_attacker_view)
+from supobf.problemfile import ProblemFile, emit_problem
 from conftest import (load_fixture, random_attack_instance,
                       random_damaged_instance)
 
@@ -428,6 +430,33 @@ def test_random_instances_independent_of_hash_seed():
         outputs.append(proc.stdout)
     assert outputs[0].count("\n") == 20
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("generator, seed, max_states, digest", [
+    (random_attack_instance, 4242, 4,
+     "c47f80ae565650fc51b21ecd4610366420bd00e2a14ab83a987ccd5f37ef508a"),
+    (random_attack_instance, 2024, 3,
+     "1ad75509938d1dbaa29f27ebcd12a0ac37bc71b2b61e040d5b8cb336dee727e7"),
+    (random_damaged_instance, 777, 4,
+     "64fc17dcc1f71ebfd01b06599486f9214dfd00f51ddda45e7413f076c00b659f"),
+    (random_damaged_instance, 99, 5,
+     "1fbfcea681856ac8ea5783a2532f7b33e85d279cf4a8fba1e2f4317fbb6ccebc"),
+], ids=["attack-4242", "attack-2024", "damaged-777", "damaged-99"])
+def test_random_instances_are_pinned(generator, seed, max_states, digest):
+    # the differential suites check what these generators draw: the
+    # problem text of the first 50 draws is fixed, flags included
+    rng = random.Random(seed)
+    h = hashlib.sha256()
+    for _ in range(50):
+        inst = generator(rng, max_states=max_states)
+        if inst is None:
+            h.update(b"None\n")
+            continue
+        plant, sup, damage, attack = inst
+        pf = ProblemFile(plant.alphabet, plant, sup, damage, sup.constraint,
+                         attack)
+        h.update(emit_problem(pf).encode())
+    assert h.hexdigest() == digest
 
 
 def test_verdict_invariant_under_state_renaming(example1, atk, perf):

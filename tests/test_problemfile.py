@@ -2,6 +2,7 @@ import pytest
 
 import supobf as S
 from conftest import FIXTURES
+from supobf.cli import main
 from supobf.problemfile import (ParseError, emit_problem, parse_problem,
                                 with_supervisor)
 
@@ -185,3 +186,36 @@ def test_parsing_builds_no_successor_tables(repair):
                            repair_selfloops=repair)
         for aut in (pf.plant, pf.supervisor.automaton, pf.damage):
             assert "delta" not in aut.__dict__, path.name
+
+
+def flag_text(controllable, observable, attackable, attacker_observable):
+    """MINIMAL with the given flag sections; the alphabet ``a`` is on
+    line 2."""
+    head = (f"[alphabet]\na\n[controllable]\n{controllable}\n"
+            f"[observable]\n{observable}\n[attackable]\n{attackable}\n"
+            f"[attacker-observable]\n{attacker_observable}\n")
+    return head + MINIMAL[MINIMAL.index("[plant]"):]
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("a", "", "", ""), "controllable events must be observable"),
+    (("a", "a", "a", ""), "attackable events must be attacker-observable"),
+    (("", "a", "a", "a"), "attackable events must be controllable"),
+    (("", "", "", "a"), "attacker-observable events must be observable"),
+    # two rules broken at once: the first in the order above is reported
+    (("a", "", "a", ""), "controllable events must be observable"),
+    (("", "a", "a", ""), "attackable events must be attacker-observable"),
+    (("", "", "a", "a"), "attackable events must be controllable"),
+], ids=["c-not-o", "a-not-ao", "a-not-c", "ao-not-o", "c-not-o+a-not-ao",
+        "a-not-ao+a-not-c", "a-not-c+ao-not-o"])
+def test_flag_violation_reported_at_the_alphabet(flags, message, tmp_path,
+                                                 capsys):
+    text = flag_text(*flags)
+    with pytest.raises(ParseError) as err:
+        parse_problem(text)
+    assert str(err.value) == f"line 2: {message}"
+    assert err.value.line == 2
+    path = tmp_path / "flags.prob"
+    path.write_text(text, encoding="utf-8")
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: line 2: {message}\n"

@@ -17,6 +17,7 @@ all and are handled by epsilon closure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .automata import (AutomatonError, PartialDFA, _dot_quote, explore,
@@ -55,16 +56,22 @@ class GPAutomaton:
     (failure sink).
     """
 
-    names: tuple[str, ...]
     cores: tuple[tuple[int, int, int], ...]
     trans: dict
     attack: dict       # (core, event) -> bool (True = success)
     initial: int
     attack_events: tuple[str, ...]
+    component_names: tuple     # plant, supervisor and damage state names
 
     @property
     def n_states(self) -> int:
         return len(self.cores)
+
+    @cached_property
+    def names(self) -> tuple[str, ...]:
+        """Display name of each core, formatted on first use."""
+        g, x, h = self.component_names
+        return tuple(f"({g[q]},{x[s]},{h[z]})" for q, s, z in self.cores)
 
 
 def generalized_product(g: PartialDFA, sa: AnnotatedSupervisor,
@@ -105,9 +112,8 @@ def generalized_product(g: PartialDFA, sa: AnnotatedSupervisor,
               for src, (q, x, z) in enumerate(order)
               for ev in attack_events
               if ev in g_rows[q] and ev not in x_rows[x]}
-    names = tuple(f"({g.names[q]},{sup.automaton.names[x]},{h.names[z]})"
-                  for q, x, z in order)
-    return GPAutomaton(names, tuple(order), trans, attack, 0, attack_events)
+    return GPAutomaton(tuple(order), trans, attack, 0, attack_events,
+                       (g.names, sup.automaton.names, h.names))
 
 
 @dataclass(frozen=True)

@@ -28,18 +28,10 @@ def _check_event_name(name: str) -> None:
 
 @dataclass(frozen=True)
 class Alphabet:
-    """Ordered event set with controllability/observability/attack flags.
-
-    Invariants: controllable events are observable, attackable events are
-    controllable and attacker-observable, attacker-observable events are
-    observable.
-    """
+    """Ordered event set; its order numbers every walk.  The event flags
+    belong to the constraints of :mod:`supobf.control`."""
 
     events: tuple[str, ...]
-    controllable: frozenset[str] = frozenset()
-    observable: frozenset[str] = frozenset()
-    attackable: frozenset[str] = frozenset()
-    attacker_observable: frozenset[str] = frozenset()
 
     def __post_init__(self):
         if not self.events:
@@ -48,36 +40,6 @@ class Alphabet:
             _check_event_name(e)
         if len(set(self.events)) != len(self.events):
             raise AutomatonError("duplicate event names")
-        evs = set(self.events)
-        for label, group in (
-            ("controllable", self.controllable),
-            ("observable", self.observable),
-            ("attackable", self.attackable),
-            ("attacker-observable", self.attacker_observable),
-        ):
-            unknown = group - evs
-            if unknown:
-                raise AutomatonError(f"{label} events not in alphabet: {sorted(unknown)}")
-        if not self.controllable <= self.observable:
-            raise AutomatonError("controllable events must be observable")
-        if not self.attackable <= self.attacker_observable:
-            raise AutomatonError("attackable events must be attacker-observable")
-        if not self.attackable <= self.controllable:
-            raise AutomatonError("attackable events must be controllable")
-        if not self.attacker_observable <= self.observable:
-            raise AutomatonError("attacker-observable events must be observable")
-
-    @classmethod
-    def make(cls, events, controllable=(), observable=None, attackable=(),
-             attacker_observable=None) -> "Alphabet":
-        """Convenience constructor; observability defaults to all events."""
-        events = tuple(events)
-        if observable is None:
-            observable = events
-        if attacker_observable is None:
-            attacker_observable = attackable
-        return cls(events, frozenset(controllable), frozenset(observable),
-                   frozenset(attackable), frozenset(attacker_observable))
 
     def index(self, event: str) -> int:
         return self.events.index(event)
@@ -205,9 +167,6 @@ class DualMarkedDFA:
     @property
     def n_states(self) -> int:
         return len(self.pairs)
-
-    def step(self, state: int, event: str) -> int:
-        return self.trans[(state, event)]
 
 
 def _with_absorbing_state(p: PartialDFA, name: str,

@@ -54,7 +54,6 @@ def cmd_validate(args) -> int:
             print("  damage string in the closed loop: "
                   + (" ".join(report.witness) or "ε"), file=sys.stderr)
         return EXIT_ERROR
-    pf.attack.check_against(pf.control)
     print(f"ok: plant {pf.plant.n_states} states, "
           f"supervisor {pf.supervisor.n_states} states, "
           f"damage {pf.damage.n_states} states")
@@ -75,9 +74,10 @@ def cmd_check(args) -> int:
     pf = _load(args)
     verdict = non_attackable(pf.plant, pf.supervisor, pf.damage, pf.attack)
     if args.dot:
-        # the verdict's construction may stop at its witness; draw it all
-        gp = verdict.product
-        sub = determinize_and_label(project_attacker_view(gp), gp)
+        # only an attackable verdict's construction stopped short of the end
+        gp, sub = verdict.product, verdict.subset_automaton
+        if not verdict.non_attackable:
+            sub = determinize_and_label(project_attacker_view(gp), gp)
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(subset_to_dot(sub, gp))
     if verdict.non_attackable:

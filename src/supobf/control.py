@@ -1,5 +1,9 @@
 """Supervisory-control layer: constraints, supervisor validity, closed loop.
 
+The constraints alone hold the event flags: :class:`ControlConstraint` the
+supervisor's, :class:`AttackConstraint` the attacker's, which
+:meth:`AttackConstraint.check_against` ties to the supervisor's.
+
 A supervisor realization must have every uncontrollable event defined at
 every state (controllability) and every unobservable event as a self-loop
 (the normal form of observability).  The control command at a state is the
@@ -28,10 +32,6 @@ class ControlConstraint:
         if not self.controllable <= self.observable:
             raise AutomatonError("controllable events must be observable")
 
-    @classmethod
-    def from_alphabet(cls, alphabet: Alphabet) -> "ControlConstraint":
-        return cls(alphabet.controllable, alphabet.observable)
-
     def uncontrollable(self, alphabet: Alphabet) -> frozenset[str]:
         return frozenset(alphabet.events) - self.controllable
 
@@ -54,10 +54,6 @@ class AttackConstraint:
     def __post_init__(self):
         if not self.attackable <= self.attacker_observable:
             raise AutomatonError("attackable events must be attacker-observable")
-
-    @classmethod
-    def from_alphabet(cls, alphabet: Alphabet) -> "AttackConstraint":
-        return cls(alphabet.attackable, alphabet.attacker_observable)
 
     def check_against(self, constraint: ControlConstraint) -> None:
         if not self.attackable <= constraint.controllable:

@@ -1,6 +1,6 @@
 """Text format for problem instances.
 
-A problem file declares the alphabet with its flag sets and three automata::
+A problem file declares the alphabet, the flag sets and three automata::
 
     [alphabet]
     a b c
@@ -193,15 +193,14 @@ def parse_problem(text: str, repair_selfloops: bool = False) -> ProblemFile:
     """
     sections = _split_sections(text)
     events = _event_list(sections, "alphabet")
+    controllable, observable, attackable, attacker_observable = (
+        frozenset(_event_list(sections, name, set(events)))
+        for name in _EVENT_SECTIONS[1:])
     try:
-        alphabet = Alphabet.make(
-            events,
-            controllable=_event_list(sections, "controllable", set(events)),
-            observable=_event_list(sections, "observable", set(events)),
-            attackable=_event_list(sections, "attackable", set(events)),
-            attacker_observable=_event_list(sections, "attacker-observable",
-                                            set(events)),
-        )
+        alphabet = Alphabet(tuple(events))
+        control = ControlConstraint(controllable, observable)
+        attack = AttackConstraint(attackable, attacker_observable)
+        attack.check_against(control)
     except AutomatonError as exc:
         raise ParseError(sections["alphabet"][0][0] if sections["alphabet"] else None,
                          str(exc)) from exc
@@ -210,8 +209,6 @@ def parse_problem(text: str, repair_selfloops: bool = False) -> ProblemFile:
     sup_aut = _parse_automaton(sections, "supervisor", alphabet)
     damage = _parse_automaton(sections, "damage", alphabet)
 
-    control = ControlConstraint.from_alphabet(alphabet)
-    attack = AttackConstraint.from_alphabet(alphabet)
     if repair_selfloops:
         sup_aut = add_unobservable_selfloops(sup_aut, control)
     supervisor = Supervisor(sup_aut, control)
@@ -220,11 +217,11 @@ def parse_problem(text: str, repair_selfloops: bool = False) -> ProblemFile:
 
 def add_unobservable_selfloops(aut: PartialDFA,
                                constraint: ControlConstraint) -> PartialDFA:
-    missing = {}
-    for x in range(aut.n_states):
-        for ev in constraint.unobservable(aut.alphabet):
-            if (x, ev) not in aut.trans:
-                missing[(x, ev)] = x
+    # state by state, in alphabet order
+    unobservable = [ev for ev in aut.alphabet.events
+                    if ev not in constraint.observable]
+    missing = {(x, ev): x for x in range(aut.n_states) for ev in unobservable
+               if (x, ev) not in aut.trans}
     if not missing:
         return aut
     trans = dict(aut.trans)
@@ -250,15 +247,15 @@ def emit_automaton_section(name: str, aut: PartialDFA) -> str:
 
 
 def emit_problem(pf: ProblemFile) -> str:
-    a = pf.alphabet
+    events = pf.alphabet.events
     def ordered(group):
-        return " ".join(e for e in a.events if e in group)
+        return " ".join(e for e in events if e in group)
     parts = [
-        "[alphabet]", " ".join(a.events),
-        "[controllable]", ordered(a.controllable),
-        "[observable]", ordered(a.observable),
-        "[attackable]", ordered(a.attackable),
-        "[attacker-observable]", ordered(a.attacker_observable),
+        "[alphabet]", " ".join(events),
+        "[controllable]", ordered(pf.control.controllable),
+        "[observable]", ordered(pf.control.observable),
+        "[attackable]", ordered(pf.attack.attackable),
+        "[attacker-observable]", ordered(pf.attack.attacker_observable),
     ]
     text = "\n".join(parts) + "\n"
     text += emit_automaton_section("plant", pf.plant)

@@ -139,7 +139,9 @@ def satisfiable_within(product: S.DualMarkedDFA,
 # randomized instance generators (deterministic under a seeded Random)
 
 def random_alphabet(rng: random.Random, max_events: int = 4,
-                    with_attack: bool = False) -> S.Alphabet:
+                    with_attack: bool = False):
+    """A random ``(alphabet, control, attack)``; without ``with_attack``
+    the attack constraint is empty."""
     # draws follow the order of ``events``, never of a set, so the result
     # does not depend on PYTHONHASHSEED
     k = rng.randint(1, max_events)
@@ -158,8 +160,8 @@ def random_alphabet(rng: random.Random, max_events: int = 4,
     else:
         attacker_observable = frozenset()
         attackable = frozenset()
-    return S.Alphabet(events, controllable, observable, attackable,
-                      attacker_observable)
+    return (S.Alphabet(events), S.ControlConstraint(controllable, observable),
+            S.AttackConstraint(attackable, attacker_observable))
 
 
 def random_plant(rng: random.Random, alphabet: S.Alphabet,
@@ -209,9 +211,7 @@ def random_attack_instance(rng: random.Random, max_states: int = 4,
     """A full (plant, supervisor, damage, attack) instance that passes
     damage validation, or None when sampling keeps failing."""
     for _ in range(max_tries):
-        alphabet = random_alphabet(rng, with_attack=True)
-        constraint = S.ControlConstraint.from_alphabet(alphabet)
-        attack = S.AttackConstraint.from_alphabet(alphabet)
+        alphabet, constraint, attack = random_alphabet(rng, with_attack=True)
         plant = random_plant(rng, alphabet, max_states,
                              acyclic=rng.random() < acyclic_bias)
         sup_aut = random_supervisor_automaton(rng, alphabet, constraint,
@@ -255,12 +255,10 @@ def random_damaged_instance(rng: random.Random, max_states: int = 4):
     at least one attackable event, its damage from
     :func:`supervisor_damage`.  Far more of these draws are attackable
     than of :func:`random_attack_instance`'s."""
-    alphabet = random_alphabet(rng, with_attack=True)
-    while not alphabet.attackable:
-        alphabet = random_alphabet(rng, with_attack=True)
-    constraint = S.ControlConstraint.from_alphabet(alphabet)
+    alphabet, constraint, attack = random_alphabet(rng, with_attack=True)
+    while not attack.attackable:
+        alphabet, constraint, attack = random_alphabet(rng, with_attack=True)
     plant = random_plant(rng, alphabet, max_states)
     sup = S.Supervisor(random_supervisor_automaton(rng, alphabet, constraint,
                                                    max_states), constraint)
-    return (plant, sup, supervisor_damage(rng, sup),
-            S.AttackConstraint.from_alphabet(alphabet))
+    return plant, sup, supervisor_damage(rng, sup), attack

@@ -62,8 +62,7 @@ def test_criterion_2_encoding_soundness():
     generated = solved = failures = 0
     while generated < 220:
         generated += 1
-        alph = random_alphabet(rng, max_events=4)
-        constraint = S.ControlConstraint.from_alphabet(alph)
+        alph, constraint, _ = random_alphabet(rng, max_events=4)
         plant = random_plant(rng, alph, max_states=5)
         sup_aut = random_supervisor_automaton(rng, alph, constraint, 4)
         sup = S.Supervisor(sup_aut, constraint)
@@ -91,8 +90,7 @@ def test_criterion_3_encoding_completeness():
     rng = random.Random(30303)
     checked = mismatches = 0
     for _ in range(80):
-        alph = random_alphabet(rng, max_events=2)
-        constraint = S.ControlConstraint.from_alphabet(alph)
+        alph, constraint, _ = random_alphabet(rng, max_events=2)
         plant = random_plant(rng, alph, max_states=2)
         sup_aut = random_supervisor_automaton(rng, alph, constraint, 2)
         loop = S.sync_product(plant, sup_aut)

@@ -28,9 +28,9 @@ def permute_states(aut: S.PartialDFA, perm: list[int]) -> S.PartialDFA:
 
 
 def test_annotate_single_state_full():
-    alph = S.Alphabet.make(("a",), controllable=("a",))
-    sup = S.Supervisor(S.PartialDFA(alph, ("x0",), {(0, "a"): 0}),
-                       S.ControlConstraint.from_alphabet(alph))
+    sup = S.Supervisor(S.PartialDFA(S.Alphabet(("a",)), ("x0",),
+                                    {(0, "a"): 0}),
+                       S.ControlConstraint(frozenset("a"), frozenset("a")))
     sa = annotate_supervisor(sup)
     assert sa.commands == (("a",),)
 
@@ -65,15 +65,14 @@ def test_generalized_product_atk(atk):
 
 def test_generalized_product_enabled_attack_event_has_no_verdict():
     # the supervisor enables k where the plant can fire it: no verdict edge
-    alph = S.Alphabet.make(("k",), controllable=("k",), attackable=("k",),
-                           attacker_observable=("k",))
-    con = S.ControlConstraint.from_alphabet(alph)
+    alph = S.Alphabet(("k",))
+    con = S.ControlConstraint(frozenset("k"), frozenset("k"))
     plant = S.PartialDFA(alph, ("q0", "q1"), {(0, "k"): 1})
     sup = S.Supervisor(S.PartialDFA(alph, ("x0", "x1"), {(0, "k"): 1}), con)
     damage = S.totalize(S.PartialDFA(alph, ("z0", "z1"), {(0, "k"): 1}, 0,
                                      frozenset({1})))
     gp = generalized_product(plant, annotate_supervisor(sup), damage,
-                             S.AttackConstraint.from_alphabet(alph))
+                             S.AttackConstraint(frozenset("k"), frozenset("k")))
     assert gp.attack == {}
 
 
@@ -85,8 +84,8 @@ def test_generalized_product_requires_total_marked_damage(atk):
 
 
 def test_attacker_projection_unobservable_only():
-    alph = S.Alphabet.make(("u",), controllable=(), observable=())
-    con = S.ControlConstraint.from_alphabet(alph)
+    alph = S.Alphabet(("u",))
+    con = S.ControlConstraint(frozenset(), frozenset())
     plant = S.PartialDFA(alph, ("q0", "q1"), {(0, "u"): 1, (1, "u"): 0})
     sup = S.Supervisor(S.PartialDFA(alph, ("x0",), {(0, "u"): 0}), con)
     damage = S.totalize(S.PartialDFA(alph, ("z0",), {}, 0, frozenset()))
@@ -117,9 +116,8 @@ def test_determinize_singletons_without_epsilon(atk):
 
 def test_label_blocked_by_failure_state():
     # two plant branches with the same attacker view: one damaging, one not
-    alph = S.Alphabet.make(("a", "b", "k"), controllable=("a", "b", "k"),
-                           attackable=("k",), attacker_observable=("k",))
-    con = S.ControlConstraint.from_alphabet(alph)
+    alph = S.Alphabet(("a", "b", "k"))
+    con = S.ControlConstraint(frozenset(alph.events), frozenset(alph.events))
     plant = S.PartialDFA(alph, ("q0", "qa", "qb", "qd", "qx"),
                          {(0, "a"): 1, (0, "b"): 2, (1, "k"): 3, (2, "k"): 4})
     sup_aut = S.PartialDFA(alph, ("x0", "x1"), {(0, "a"): 1, (0, "b"): 1})
@@ -127,7 +125,7 @@ def test_label_blocked_by_failure_state():
     damage = S.totalize(S.PartialDFA(
         alph, ("z0", "za", "zb", "zd"),
         {(0, "a"): 1, (0, "b"): 2, (1, "k"): 3}, 0, frozenset({3})))
-    ac = S.AttackConstraint.from_alphabet(alph)
+    ac = S.AttackConstraint(frozenset("k"), frozenset("k"))
     gp = generalized_product(plant, annotate_supervisor(sup), damage, ac)
     sub = determinize_and_label(project_attacker_view(gp), gp)
     # a and b are attacker-invisible and lead to the same command, so the
@@ -375,9 +373,8 @@ def test_witness_skips_a_set_with_a_failure_core():
     # first knowledge set mixes a core where k damages (after a) with one
     # where it fails (after b); only c, seen by the attacker, separates
     # them, and k damages after a c
-    alph = S.Alphabet.make(("a", "b", "c", "k"), controllable=("a", "b", "c", "k"),
-                           attackable=("k",), attacker_observable=("c", "k"))
-    con = S.ControlConstraint.from_alphabet(alph)
+    alph = S.Alphabet(("a", "b", "c", "k"))
+    con = S.ControlConstraint(frozenset(alph.events), frozenset(alph.events))
     plant = S.PartialDFA(alph, ("q0", "qa", "qb", "qc", "qd", "qx", "qe"),
                          {(0, "a"): 1, (0, "b"): 2, (1, "c"): 3, (1, "k"): 4,
                           (2, "k"): 5, (3, "k"): 6})
@@ -388,7 +385,7 @@ def test_witness_skips_a_set_with_a_failure_core():
         alph, ("z0", "za", "zb", "zc", "zd"),
         {(0, "a"): 1, (0, "b"): 2, (1, "c"): 3, (1, "k"): 4, (3, "k"): 4},
         0, frozenset({4})))
-    ac = S.AttackConstraint.from_alphabet(alph)
+    ac = S.AttackConstraint(frozenset("k"), frozenset("ck"))
     verdict = S.non_attackable(plant, sup, damage, ac)
     assert not verdict.non_attackable
     assert_witness_replays(plant, sup, damage, ac, verdict)
@@ -411,9 +408,9 @@ for _ in range(20):
         print(None)
         continue
     plant, sup, damage, attack = inst
-    a = plant.alphabet
-    print(a.events, sorted(a.controllable), sorted(a.observable),
-          sorted(a.attackable), sorted(a.attacker_observable),
+    c = sup.constraint
+    print(plant.alphabet.events, sorted(c.controllable), sorted(c.observable),
+          sorted(attack.attackable), sorted(attack.attacker_observable),
           aut(plant), aut(sup.automaton), aut(damage))
 """
 

@@ -6,6 +6,8 @@ from pathlib import Path
 import pytest
 
 import supobf as S
+import supobf.attack
+import supobf.cli
 from supobf.cli import main
 from conftest import FIXTURES, load_fixture
 
@@ -60,6 +62,29 @@ def test_check_dot_renders_the_verdict(tmp_path, capsys):
     sub = S.determinize_and_label(S.project_attacker_view(gp), gp)
     assert dot.read_bytes() == S.subset_to_dot(sub, gp).encode("utf-8")
 
+
+@pytest.mark.parametrize("name, constructions", [
+    ("tri", 1), ("single", 1), ("example1_obfuscated", 1),
+    ("atk", 2), ("example1", 2), ("perf", 2)])
+def test_check_dot_reuses_a_complete_construction(name, constructions,
+                                                  tmp_path, monkeypatch,
+                                                  capsys):
+    # a non-attackable verdict's subset construction ran to completion and
+    # is drawn as it is; an attackable one stopped at its witness and is
+    # built again in full for the drawing
+    calls = []
+    original = supobf.attack.determinize_and_label
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(supobf.attack, "determinize_and_label", counting)
+    monkeypatch.setattr(supobf.cli, "determinize_and_label", counting)
+    dot = tmp_path / "view.dot"
+    main(["check", fixture(name), "--dot", str(dot)])
+    assert len(calls) == constructions
+    assert dot.read_bytes() == (GOLDEN / f"{name}.check.dot").read_bytes()
 
 def test_closed_loop_emission(capsys, tmp_path):
     dot = tmp_path / "loop.dot"

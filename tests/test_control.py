@@ -8,27 +8,32 @@ from conftest import (random_alphabet, random_damage, random_plant,
 
 
 def test_control_constraint_normality():
-    with pytest.raises(S.AutomatonError):
+    with pytest.raises(S.AutomatonError,
+                       match="controllable events must be observable"):
         S.ControlConstraint(frozenset("a"), frozenset())
     c = S.ControlConstraint(frozenset("a"), frozenset("ab"))
-    alph = S.Alphabet.make(("a", "b", "c"), controllable=("a",),
-                           observable=("a", "b"))
+    alph = S.Alphabet(("a", "b", "c"))
     assert c.uncontrollable(alph) == frozenset({"b", "c"})
     assert c.unobservable(alph) == frozenset({"c"})
 
 
 def test_attack_constraint_invariants():
-    with pytest.raises(S.AutomatonError):
+    with pytest.raises(S.AutomatonError,
+                       match="attackable events must be attacker-observable"):
         S.AttackConstraint(frozenset("a"), frozenset())
     ac = S.AttackConstraint(frozenset("a"), frozenset("ab"))
     ac.check_against(S.ControlConstraint(frozenset("a"), frozenset("ab")))
-    with pytest.raises(S.AutomatonError):
+    with pytest.raises(S.AutomatonError,
+                       match="attackable events must be controllable"):
         ac.check_against(S.ControlConstraint(frozenset(), frozenset("ab")))
+    with pytest.raises(S.AutomatonError,
+                       match="attacker-observable events must be observable"):
+        ac.check_against(S.ControlConstraint(frozenset("a"), frozenset("a")))
 
 
 def test_check_supervisor_vacuous_constraints():
-    alph = S.Alphabet.make(("a", "b"), controllable=("a", "b"))
-    c = S.ControlConstraint.from_alphabet(alph)
+    alph = S.Alphabet(("a", "b"))
+    c = S.ControlConstraint(frozenset("ab"), frozenset("ab"))
     s = S.PartialDFA(alph, ("x0",), {})
     assert S.check_supervisor(s, c) == []
 
@@ -38,8 +43,8 @@ def test_check_supervisor_tri_valid(tri):
 
 
 def test_check_supervisor_violations():
-    alph = S.Alphabet.make(("a", "u"), controllable=("a",), observable=("a",))
-    c = S.ControlConstraint.from_alphabet(alph)
+    alph = S.Alphabet(("a", "u"))
+    c = S.ControlConstraint(frozenset("a"), frozenset("a"))
     # u is unobservable (hence uncontrollable): moving on it breaks the
     # normal form, omitting it breaks controllability
     s = S.PartialDFA(alph, ("x0", "x1"), {(0, "u"): 1, (1, "u"): 1})
@@ -58,17 +63,16 @@ def test_control_command_full_and_quoted(example1):
         frozenset({"a", "b", "d"})
     assert S.control_command(sup, sup.automaton.run(["a", "c", "d"])) == \
         frozenset({"b"})
-    alph = S.Alphabet.make(("a",), controllable=("a",))
-    full = S.Supervisor(S.PartialDFA(alph, ("x0",), {(0, "a"): 0}),
-                        S.ControlConstraint.from_alphabet(alph))
+    full = S.Supervisor(S.PartialDFA(S.Alphabet(("a",)), ("x0",),
+                                     {(0, "a"): 0}),
+                        S.ControlConstraint(frozenset("a"), frozenset("a")))
     assert S.control_command(full, 0) == frozenset({"a"})
 
 
 def test_control_command_superset_of_uncontrollable():
     rng = random.Random(3)
     for _ in range(30):
-        alph = random_alphabet(rng)
-        c = S.ControlConstraint.from_alphabet(alph)
+        alph, c, _ = random_alphabet(rng)
         aut = random_supervisor_automaton(rng, alph, c)
         sup = S.Supervisor(aut, c)
         for x in range(aut.n_states):
@@ -95,8 +99,7 @@ def test_closed_loop_tri_and_atk(tri, atk):
 def test_closed_loop_language_property():
     rng = random.Random(17)
     for _ in range(25):
-        alph = random_alphabet(rng)
-        c = S.ControlConstraint.from_alphabet(alph)
+        alph, c, _ = random_alphabet(rng)
         g = random_plant(rng, alph)
         sup = S.Supervisor(random_supervisor_automaton(rng, alph, c), c)
         loop = S.closed_loop(g, sup)
@@ -129,8 +132,7 @@ def test_validate_damage_witness_is_the_first_in_shortlex_order():
     rng = random.Random(9090)
     checked = 0
     for _ in range(300):
-        alph = random_alphabet(rng)
-        c = S.ControlConstraint.from_alphabet(alph)
+        alph, c, _ = random_alphabet(rng)
         g = random_plant(rng, alph)
         sup = S.Supervisor(random_supervisor_automaton(rng, alph, c), c)
         h = random_damage(rng, alph)

@@ -3,8 +3,8 @@ import pytest
 import supobf as S
 from conftest import FIXTURES
 from supobf.cli import main
-from supobf.problemfile import (ParseError, emit_problem, parse_problem,
-                                with_supervisor)
+from supobf.problemfile import (ParseError, add_unobservable_selfloops,
+                                emit_problem, parse_problem, with_supervisor)
 
 MINIMAL = """
 [alphabet]
@@ -97,11 +97,24 @@ def test_invalid_supervisor_rejected():
     assert pf.supervisor.automaton.trans == {(0, "a"): 0}
 
 
+def test_repaired_selfloops_are_added_state_by_state_in_alphabet_order():
+    # eight unobservable events: a hash-ordered walk over them would put
+    # the loops in another order under almost every PYTHONHASHSEED
+    unobservable = ("u", "v", "w", "x", "y", "z", "s", "t")
+    alph = S.Alphabet(("a",) + unobservable)
+    control = S.ControlConstraint(frozenset("a"), frozenset("a"))
+    aut = S.PartialDFA(alph, ("x0", "x1", "x2"), {(0, "a"): 1, (1, "v"): 1})
+    repaired = add_unobservable_selfloops(aut, control)
+    assert list(repaired.trans)[:2] == list(aut.trans)
+    assert list(repaired.trans.items())[2:] == [
+        ((x, ev), x) for x in range(3) for ev in unobservable
+        if (x, ev) != (1, "v")]
+
 def test_example1_flags(example1):
-    a = example1.alphabet
-    assert a.events == ("a", "b", "c", "d", "a'")
-    assert a.observable == frozenset({"a", "c", "d", "a'"})
-    assert a.controllable == a.observable
+    assert example1.alphabet.events == ("a", "b", "c", "d", "a'")
+    c, a = example1.control, example1.attack
+    assert c.observable == frozenset({"a", "c", "d", "a'"})
+    assert c.controllable == c.observable
     assert a.attackable == frozenset({"a'"})
     assert a.attacker_observable == frozenset({"c", "a'"})
 
@@ -118,6 +131,7 @@ def test_round_trip(example1, tri, atk, perf):
         text = emit_problem(pf)
         back = parse_problem(text)
         assert back.alphabet == pf.alphabet
+        assert (back.control, back.attack) == (pf.control, pf.attack)
         for a, b in ((back.plant, pf.plant),
                      (back.supervisor.automaton, pf.supervisor.automaton),
                      (back.damage, pf.damage)):
@@ -168,8 +182,8 @@ def test_state_name_starting_with_bracket_rejected_at_its_line():
 
 def test_event_name_starting_with_bracket_rejected():
     with pytest.raises(S.AutomatonError, match="bad event name"):
-        S.Alphabet.make(("a", "[b"))
-    assert S.Alphabet.make(("a", "b[", "c]")).events == ("a", "b[", "c]")
+        S.Alphabet(("a", "[b"))
+    assert S.Alphabet(("a", "b[", "c]")).events == ("a", "b[", "c]")
     text = MINIMAL.replace("[alphabet]\na", "[alphabet]\na [b")
     with pytest.raises(ParseError) as err:
         parse_problem(text)

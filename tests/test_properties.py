@@ -19,7 +19,8 @@ NAME = st.text(alphabet="abqxz019_'(),.", min_size=1, max_size=3)
 
 
 @st.composite
-def alphabets(draw) -> S.Alphabet:
+def alphabets(draw):
+    """An ``(alphabet, control, attack)`` triple."""
     events = draw(st.lists(NAME, min_size=1, max_size=4, unique=True))
     observable = draw(st.sets(st.sampled_from(events)))
     obs = sorted(observable)
@@ -27,8 +28,10 @@ def alphabets(draw) -> S.Alphabet:
     attacker_observable = draw(st.sets(st.sampled_from(obs))) if obs else set()
     both = sorted(controllable & attacker_observable)
     attackable = draw(st.sets(st.sampled_from(both))) if both else set()
-    return S.Alphabet.make(events, controllable, observable, attackable,
-                           attacker_observable)
+    return (S.Alphabet(tuple(events)),
+            S.ControlConstraint(frozenset(controllable), frozenset(observable)),
+            S.AttackConstraint(frozenset(attackable),
+                               frozenset(attacker_observable)))
 
 
 def automata(alphabet: S.Alphabet, required=lambda ev: False,
@@ -56,15 +59,14 @@ def automata(alphabet: S.Alphabet, required=lambda ev: False,
 
 @st.composite
 def problems(draw) -> S.ProblemFile:
-    alphabet = draw(alphabets())
-    control = S.ControlConstraint.from_alphabet(alphabet)
+    alphabet, control, attack = draw(alphabets())
     plant = draw(automata(alphabet, marked=True))
     sup = draw(automata(alphabet,
-                        required=lambda ev: ev not in alphabet.controllable,
-                        selfloop=lambda ev: ev not in alphabet.observable))
+                        required=lambda ev: ev not in control.controllable,
+                        selfloop=lambda ev: ev not in control.observable))
     damage = draw(automata(alphabet, marked=True))
     return S.ProblemFile(alphabet, plant, S.Supervisor(sup, control), damage,
-                         control, S.AttackConstraint.from_alphabet(alphabet))
+                         control, attack)
 
 
 @PROPERTY_SETTINGS

@@ -10,10 +10,8 @@ from conftest import (all_supervisor_automata, random_alphabet, random_plant,
 
 
 def make_vt(n, events, controllable, observable, num_product=0):
-    alph = S.Alphabet.make(events, controllable=controllable,
-                           observable=observable)
-    c = S.ControlConstraint.from_alphabet(alph)
-    return grown_table(n, alph, c, num_product)
+    c = S.ControlConstraint(frozenset(controllable), frozenset(observable))
+    return grown_table(n, S.Alphabet(tuple(events)), c, num_product)
 
 
 def grown_table(n, alph, constraint, num_product):
@@ -127,12 +125,13 @@ def test_trans_var_constants():
 
 
 def test_separation_structure_no_b_marks():
-    alph = S.Alphabet.make(("a",), controllable=("a",))
+    alph = S.Alphabet(("a",))
     g = S.PartialDFA(alph, ("q0",), {(0, "a"): 0})
     s = S.PartialDFA(alph, ("x0",), {(0, "a"): 0})
     prod = S.dual_marked_product(S.complete(g), S.complete(s))
     assert prod.mark_b == frozenset()
-    vt = grown_table(1, alph, S.ControlConstraint.from_alphabet(alph),
+    vt = grown_table(1, alph, S.ControlConstraint(frozenset("a"),
+                                                  frozenset("a")),
                      prod.n_states)
     clauses = S.separation_clauses(vt, prod, 0)
     units = [c for c in clauses if len(c) == 1]
@@ -252,8 +251,8 @@ def test_tri_unsat_at_1_matches_brute_force(tri):
 
 
 def test_decode_all_dump_row():
-    alph = S.Alphabet.make(("a", "u"), controllable=("a",), observable=("a",))
-    c = S.ControlConstraint.from_alphabet(alph)
+    alph = S.Alphabet(("a", "u"))
+    c = S.ControlConstraint(frozenset("a"), frozenset("a"))
     vt = grown_table(1, alph, c, 0)
     model = {vt.trans_var(0, "a", j): j == S.DUMP for j in (0, S.DUMP)}
     decoded = S.decode_model(model, vt)
@@ -262,8 +261,9 @@ def test_decode_all_dump_row():
 
 
 def test_decode_rejects_double_successor():
-    alph = S.Alphabet.make(("a",), controllable=("a",))
-    vt = grown_table(1, alph, S.ControlConstraint.from_alphabet(alph), 0)
+    alph = S.Alphabet(("a",))
+    vt = grown_table(1, alph, S.ControlConstraint(frozenset("a"),
+                                                  frozenset("a")), 0)
     model = {vt.trans_var(0, "a", 0): True,
              vt.trans_var(0, "a", S.DUMP): True}
     with pytest.raises(S.BackendError):
@@ -303,8 +303,7 @@ def test_soundness_on_random_instances():
     rng = random.Random(2024)
     checked = 0
     for _ in range(60):
-        alph = random_alphabet(rng)
-        constraint = S.ControlConstraint.from_alphabet(alph)
+        alph, constraint, _ = random_alphabet(rng)
         plant = random_plant(rng, alph, 4)
         sup_aut = random_supervisor_automaton(rng, alph, constraint, 3)
         sup = S.Supervisor(sup_aut, constraint)
@@ -326,8 +325,7 @@ def test_soundness_on_random_instances():
 def test_completeness_on_tiny_instances():
     rng = random.Random(77)
     for _ in range(60):
-        alph = random_alphabet(rng, max_events=2)
-        constraint = S.ControlConstraint.from_alphabet(alph)
+        alph, constraint, _ = random_alphabet(rng, max_events=2)
         plant = random_plant(rng, alph, 2)
         sup_aut = random_supervisor_automaton(rng, alph, constraint, 2)
         loop = S.sync_product(plant, sup_aut)
@@ -355,8 +353,8 @@ def test_constant_folding_matches_explicit_encoding():
     # one observable and one unobservable event; compare against an
     # encoding where every transition variable is explicit and the
     # constants become unit clauses
-    alph = S.Alphabet.make(("a", "u"), controllable=("a",), observable=("a",))
-    constraint = S.ControlConstraint.from_alphabet(alph)
+    alph = S.Alphabet(("a", "u"))
+    constraint = S.ControlConstraint(frozenset("a"), frozenset("a"))
     plant = S.PartialDFA(alph, ("q0", "q1"),
                          {(0, "a"): 1, (0, "u"): 0, (1, "a"): 0})
     sup_aut = S.PartialDFA(alph, ("x0",), {(0, "a"): 0, (0, "u"): 0})

@@ -230,6 +230,25 @@ def test_first_damage_fault_reported(atk, marked, total, verify_error,
         assert str(info.value) == message
 
 
+def test_alphabet_mismatch_reported_before_the_damage_faults(atk):
+    # the supervisor's alphabet lists atk's events in the other order and
+    # the damage automaton has no marked set: the alphabet check comes
+    # first, in both entry points
+    flipped = S.Alphabet(tuple(reversed(atk.plant.alphabet.events)))
+    x = atk.supervisor.automaton
+    sup = S.Supervisor(S.PartialDFA(flipped, x.names, x.trans, x.initial),
+                       atk.control)
+    h = S.PartialDFA(atk.plant.alphabet, ("z0",),
+                     {(0, e): 0 for e in atk.plant.alphabet.events}, 0, None)
+    req = S.ObfuscationRequest(atk.plant, sup, atk.control, atk.attack, h)
+    for call in (lambda: S.non_attackable(atk.plant, sup, h, atk.attack),
+                 lambda: S.obfuscate(req)):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert type(info.value) is S.AutomatonError
+        assert str(info.value) == "operands must share an alphabet"
+
+
 def test_oracle_atk(atk):
     r = S.attackable_by_search(atk.plant, atk.supervisor, atk.damage,
                                atk.attack, 3)

@@ -12,7 +12,7 @@ from .automata import (Alphabet, AutomatonError, CompleteDFA, DualMarkedDFA,
                        reachable_states, sync_product, to_dot, totalize)
 from .control import (AttackConstraint, ControlConstraint, DamageReport,
                       Supervisor, Violation, check_supervisor, closed_loop,
-                      control_command, validate_damage)
+                      control_command, stray_damage_string, validate_damage)
 from .attack import (AnnotatedSupervisor, AttackVerdict, AttackWitness,
                      GPAutomaton, OracleResult, SubsetAutomaton,
                      annotate_supervisor, attackable_by_search,

@@ -21,9 +21,8 @@ from functools import cached_property
 from typing import Optional
 
 from .automata import (AutomatonError, PartialDFA, _dot_quote, explore,
-                       is_total)
-from .control import (AttackConstraint, Supervisor, closed_loop,
-                      validate_damage)
+                       is_total, path_labels)
+from .control import AttackConstraint, Supervisor, validate_damage
 
 Command = tuple[str, ...]          # sorted event tuple
 ObsEvent = tuple[Optional[str], Command]   # (seen event or None, command)
@@ -46,7 +45,8 @@ def annotate_supervisor(s: Supervisor) -> AnnotatedSupervisor:
 
 @dataclass(frozen=True)
 class GPAutomaton:
-    """Generalized product over core states (plant, supervisor, damage).
+    """Generalized product over core states (plant, supervisor, damage),
+    numbered breadth-first from the initial core 0.
 
     ``trans`` holds the closed-loop moves keyed by (core, (event, view))
     where view is the attacker observation (an :data:`ObsEvent`) or None
@@ -59,7 +59,6 @@ class GPAutomaton:
     cores: tuple[tuple[int, int, int], ...]
     trans: dict
     attack: dict       # (core, event) -> bool (True = success)
-    initial: int
     attack_events: tuple[str, ...]
     component_names: tuple     # plant, supervisor and damage state names
 
@@ -112,7 +111,7 @@ def generalized_product(g: PartialDFA, sa: AnnotatedSupervisor,
               for src, (q, x, z) in enumerate(order)
               for ev in attack_events
               if ev in g_rows[q] and ev not in x_rows[x]}
-    return GPAutomaton(tuple(order), trans, attack, 0, attack_events,
+    return GPAutomaton(tuple(order), trans, attack, attack_events,
                        (g.names, sup.automaton.names, h.names))
 
 
@@ -125,7 +124,6 @@ class AttackerView:
     product recorded its moves and may repeat a state; the subset
     construction reads them as sets."""
 
-    initial: int
     eps: dict          # state -> list of epsilon successors
     moves: dict        # state -> {ObsEvent: list of successors}
 
@@ -138,12 +136,13 @@ def project_attacker_view(gp: GPAutomaton) -> AttackerView:
             eps.setdefault(src, []).append(dst)
         else:
             moves.setdefault(src, {}).setdefault(view, []).append(dst)
-    return AttackerView(gp.initial, eps, moves)
+    return AttackerView(eps, moves)
 
 
 @dataclass(frozen=True)
 class SubsetAutomaton:
-    """Determinized attacker view, numbered in breadth-first order.
+    """Determinized attacker view, numbered in breadth-first order from
+    the initial knowledge set 0.
     ``labels[i]`` is the set of attack events that succeed from knowledge
     set ``i``: some member state turns the event into damage and no other
     member turns it into a detected failure.  A construction stopped at
@@ -153,7 +152,6 @@ class SubsetAutomaton:
     subsets: tuple[frozenset[int], ...]
     trans: dict        # (subset index, ObsEvent) -> subset index
     labels: tuple[frozenset[str], ...]
-    initial: int = 0
 
 
 def _closure(states, eps) -> frozenset[int]:
@@ -199,7 +197,7 @@ def determinize_and_label(view: AttackerView, gp: GPAutomaton,
         return stop_at_label and bool(lab)
 
     # ``explore`` calls ``label`` once per set in discovery order
-    order, trans = explore(_closure([view.initial], view.eps), successors,
+    order, trans = explore(_closure([0], view.eps), successors,
                            stop=label)
     return SubsetAutomaton(tuple(order), trans, tuple(labels))
 
@@ -235,7 +233,7 @@ def non_attackable(g: PartialDFA, s: Supervisor, h: PartialDFA,
     observation sequence to the first labelled set in breadth-first order
     and the least event of its label."""
     if validate:
-        report = validate_damage(h, closed_loop(g, s))
+        report = validate_damage(h, g, s)
         if not report.ok:
             raise AutomatonError("; ".join(report.problems))
     gp = generalized_product(g, annotate_supervisor(s), h, ac)
@@ -244,19 +242,7 @@ def non_attackable(g: PartialDFA, s: Supervisor, h: PartialDFA,
     last = len(sub.subsets) - 1
     if not sub.labels[last]:
         return AttackVerdict(True, None, sub, gp)
-
-    # transition insertion order follows the construction's breadth-first
-    # search, so the first edge into a subset lies on a shortest path
-    parents: dict[int, tuple[int, ObsEvent]] = {}
-    for (src, obs), dst in sub.trans.items():
-        parents.setdefault(dst, (src, obs))
-    path = []
-    cur = last
-    while cur != sub.initial:
-        cur, obs = parents[cur]
-        path.append(obs)
-    path.reverse()
-    witness = AttackWitness(tuple(path), sub.subsets[last],
+    witness = AttackWitness(path_labels(sub.trans, last), sub.subsets[last],
                             min(sub.labels[last]))
     return AttackVerdict(False, witness, sub, gp)
 
@@ -387,7 +373,7 @@ def subset_to_dot(sub: SubsetAutomaton, gp: GPAutomaton) -> str:
             lines.append(f"  n{i} [label={label} style=filled fillcolor=lightcoral];")
         else:
             lines.append(f"  n{i} [label={_dot_quote(members)}];")
-    lines.append(f"  __init__ -> n{sub.initial};")
+    lines.append("  __init__ -> n0;")
     for (src, obs), dst in sorted(sub.trans.items(),
                                   key=lambda kv: (kv[0][0], kv[1], str(kv[0][1]))):
         lines.append(f"  n{src} -> n{dst} [label={_dot_quote(fmt_obs(obs))}];")

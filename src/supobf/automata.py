@@ -247,6 +247,21 @@ def explore(start: Hashable,
     return order, trans
 
 
+def path_labels(trans: dict, state: int) -> tuple:
+    """Labels of the path from the start of an :func:`explore` to state
+    number ``state``, read off its ``trans``: each state's first incoming
+    edge in insertion order is the one that discovered it, so the path is
+    the breadth-first one, a shortest path."""
+    parents = {}
+    for (src, label), dst in trans.items():
+        parents.setdefault(dst, (src, label))
+    path = []
+    while state != 0:
+        state, label = parents[state]
+        path.append(label)
+    return tuple(reversed(path))
+
+
 def sync_product(a: PartialDFA, b: PartialDFA) -> PartialDFA:
     """Synchronous product over one alphabet, keeping only reachable pairs.
 

@@ -13,13 +13,13 @@ import json
 import sys
 import time
 
-from .automata import AutomatonError, complete, dual_marked_product, to_dot
+from .automata import complete, dual_marked_product, is_total, to_dot
 from .attack import (attackable_by_search, determinize_and_label,
                      non_attackable, project_attacker_view, subset_to_dot)
-from .control import closed_loop, validate_damage
+from .control import closed_loop, stray_damage_string, validate_damage
 from .obfuscate import ObfuscationRequest, enumerate_instance, obfuscate
-from .problemfile import (ParseError, ProblemFile, emit_automaton_section,
-                          emit_problem, load_problem, with_supervisor)
+from .problemfile import (ProblemFile, emit_automaton_section, emit_problem,
+                          load_problem, with_supervisor)
 from .satenc import encode, export_dimacs
 
 EXIT_OK = 0
@@ -43,10 +43,13 @@ def _load(args) -> ProblemFile:
 
 def cmd_validate(args) -> int:
     pf = _load(args)
-    report = validate_damage(pf.damage, closed_loop(pf.plant, pf.supervisor),
-                             plant=pf.plant)
-    for warning in report.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
+    report = validate_damage(pf.damage, pf.plant, pf.supervisor)
+    # a damage automaton that is not total is not searched for stray strings
+    stray = (stray_damage_string(pf.damage, pf.plant)
+             if is_total(pf.damage) else None)
+    if stray is not None:
+        print("warning: damage string not generable by the plant: "
+              + (" ".join(stray) or "ε"), file=sys.stderr)
     if not report.ok:
         for problem in report.problems:
             print(f"error: {problem}", file=sys.stderr)
@@ -241,7 +244,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, AutomatonError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
-from .automata import (Alphabet, AutomatonError, PartialDFA, complete,
-                       is_total, sync_product)
+from .automata import (Alphabet, AutomatonError, PartialDFA, explore,
+                       is_total, path_labels, sync_product)
 
 
 @dataclass(frozen=True)
@@ -128,69 +128,57 @@ class DamageReport:
     ok: bool
     problems: list[str] = field(default_factory=list)
     witness: Optional[tuple[str, ...]] = None
-    warnings: list[str] = field(default_factory=list)
 
 
-def validate_damage(h: PartialDFA, loop: PartialDFA,
-                    plant: Optional[PartialDFA] = None) -> DamageReport:
-    """Check a damage automaton against a closed loop.
+def validate_damage(h: PartialDFA, g: PartialDFA, s: Supervisor) -> DamageReport:
+    """Check a damage automaton against the plant ``g`` under ``s``.
 
-    Requires a marked set on ``h``; passes iff ``h`` is total and no string
-    of the closed-loop language reaches a marked state of ``h``.  When the
-    plant is supplied, marked strings that the plant cannot generate are
-    reported as a warning (the verification algorithms ignore them).
+    The plant and supervisor must share an alphabet and ``h`` needs a
+    marked set; then the check passes iff ``h`` is total and no
+    closed-loop string reaches a marked state of ``h``.  The witness is
+    the first such string in shortlex order over ``h``'s alphabet, found
+    by a breadth-first walk over the (plant, supervisor, damage) triples,
+    so the closed loop is never built.
     """
+    sup = s.automaton
+    if g.alphabet.events != sup.alphabet.events:
+        raise AutomatonError("operands must share an alphabet")
     if h.marked is None:
         raise AutomatonError("damage automaton needs an explicit marked set")
-    report = DamageReport(ok=True)
     if not is_total(h):
-        report.ok = False
-        report.problems.append("damage automaton is not total")
-        return report
-    witness = _marked_reach(loop, h)
-    if witness is not None:
-        report.ok = False
-        report.problems.append("closed loop reaches a damage string")
-        report.witness = witness
-    if plant is not None:
-        # a marked h-string the plant cannot generate ends with the
-        # completed plant in its dump state
-        stray = _marked_reach(complete(plant).inner, h,
-                              alive=lambda q: q == plant.n_states)
-        if stray is not None:
-            report.warnings.append(
-                f"damage string not generable by the plant: {' '.join(stray) or 'ε'}")
-    return report
+        return DamageReport(False, ["damage automaton is not total"])
+    g_rows, x_rows, h_rows = g.delta, sup.delta, h.delta
+
+    def successors(core):
+        q, x, z = core
+        g_row, x_row = g_rows[q], x_rows[x]
+        return [(ev, (q2, x2, z2)) for ev, z2 in h_rows[z].items()
+                if (q2 := g_row.get(ev)) is not None
+                and (x2 := x_row.get(ev)) is not None]
+
+    order, trans = explore((g.initial, sup.initial, h.initial), successors,
+                           stop=lambda core: core[2] in h.marked)
+    if order[-1][2] not in h.marked:
+        return DamageReport(True)
+    return DamageReport(False, ["closed loop reaches a damage string"],
+                        path_labels(trans, len(order) - 1))
 
 
-def _marked_reach(left: PartialDFA, h: PartialDFA, alive=None):
-    """Shortest string tracked by both automata that is marked in ``h``,
-    the first such string in shortlex order over ``h``'s alphabet;
-    ``alive`` optionally filters the left component's states."""
-    marked = h.marked if h.marked is not None else range(h.n_states)
-    start = (left.initial, h.initial)
-    if h.initial in marked and (alive is None or alive(left.initial)):
-        return ()
-    left_rows, h_rows = left.delta, h.delta
-    # breadth-first over the pairs; ``parent`` holds the edge that
-    # discovered each pair, and ``order`` is the queue
-    parent = {start: None}
-    order = [start]
-    for pair in order:
-        ql, qh = pair
-        left_row = left_rows[ql]
-        for ev, nh in h_rows[qh].items():
-            nl = left_row.get(ev)
-            if nl is None:
-                continue
-            if nh in marked and (alive is None or alive(nl)):
-                path = [ev]
-                while parent[pair] is not None:
-                    pair, ev = parent[pair]
-                    path.append(ev)
-                return tuple(reversed(path))
-            nxt = (nl, nh)
-            if nxt not in parent:
-                parent[nxt] = (pair, ev)
-                order.append(nxt)
-    return None
+def stray_damage_string(h: PartialDFA,
+                        g: PartialDFA) -> Optional[tuple[str, ...]]:
+    """The first string in shortlex order over ``h``'s alphabet that ``h``
+    marks and the plant ``g`` cannot generate, or None.  The verification
+    ignores such strings; ``supobf validate`` warns about them."""
+    g_rows, h_rows = g.delta, h.delta
+
+    # None stands for the plant once it has died, and stays None
+    def successors(pair):
+        q, z = pair
+        g_row = g_rows[q] if q is not None else {}
+        return [(ev, (g_row.get(ev), z2)) for ev, z2 in h_rows[z].items()]
+
+    def stray(pair):
+        return pair[0] is None and h.is_marked(pair[1])
+
+    order, trans = explore((g.initial, h.initial), successors, stop=stray)
+    return path_labels(trans, len(order) - 1) if stray(order[-1]) else None

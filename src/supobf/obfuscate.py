@@ -31,7 +31,7 @@ from typing import Callable, Iterator, Optional
 from .automata import (PartialDFA, canonical_key, complete,
                        dual_marked_product, reachable_states)
 from .control import (AttackConstraint, ControlConstraint, Supervisor,
-                      closed_loop, validate_damage)
+                      validate_damage)
 from .attack import non_attackable
 from .sat import SatSolver
 from .satenc import (CnfInstance, VarTable, blocking_clause, decode_model, encode,
@@ -132,7 +132,7 @@ def obfuscate(req: ObfuscationRequest,
     sup_aut = req.supervisor.automaton
     constraint = req.target_constraint
     req.attack.check_against(constraint)
-    report = validate_damage(req.damage, closed_loop(plant, req.supervisor))
+    report = validate_damage(req.damage, plant, req.supervisor)
     if not report.ok:
         raise ValueError("damage validation failed: " + "; ".join(report.problems))
 

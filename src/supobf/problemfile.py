@@ -75,8 +75,11 @@ def _tokenize(text: str):
             yield no, line.split()
 
 
-def _split_sections(text: str) -> dict[str, list[tuple[int, list[str]]]]:
+def _split_sections(text: str):
+    """``(sections, headers)``: each section's (line number, tokens) lines
+    and the line number of its header."""
     sections: dict[str, list[tuple[int, list[str]]]] = {}
+    headers: dict[str, int] = {}
     current = None
     for no, toks in _tokenize(text):
         if toks[0].startswith("["):
@@ -89,12 +92,13 @@ def _split_sections(text: str) -> dict[str, list[tuple[int, list[str]]]]:
             if name in sections:
                 raise ParseError(no, f"duplicate section [{name}]")
             sections[name] = []
+            headers[name] = no
             current = name
         elif current is None:
             raise ParseError(no, f"content before any section: {' '.join(toks)}")
         else:
             sections[current].append((no, toks))
-    return sections
+    return sections, headers
 
 
 def _event_list(sections, name, alphabet_events=None) -> list[str]:
@@ -109,7 +113,8 @@ def _event_list(sections, name, alphabet_events=None) -> list[str]:
     return events
 
 
-def _parse_automaton(sections, name: str, alphabet: Alphabet) -> PartialDFA:
+def _parse_automaton(sections, headers, name: str,
+                     alphabet: Alphabet) -> PartialDFA:
     if name not in sections:
         raise ParseError(None, f"missing section [{name}]")
     lines = sections[name]
@@ -119,7 +124,7 @@ def _parse_automaton(sections, name: str, alphabet: Alphabet) -> PartialDFA:
     auto_complete = False
     trans_lines: list[tuple[int, list[str]]] = []
     in_trans = False
-    header_line = lines[0][0] if lines else 0
+    header_line = lines[0][0] if lines else headers[name]
     for no, toks in lines:
         if in_trans:
             trans_lines.append((no, toks))
@@ -191,7 +196,7 @@ def parse_problem(text: str, repair_selfloops: bool = False) -> ProblemFile:
     ``repair_selfloops`` adds the unobservable self-loops the supervisor
     normal form mandates when the input omits them.
     """
-    sections = _split_sections(text)
+    sections, headers = _split_sections(text)
     events = _event_list(sections, "alphabet")
     controllable, observable, attackable, attacker_observable = (
         frozenset(_event_list(sections, name, set(events)))
@@ -202,12 +207,14 @@ def parse_problem(text: str, repair_selfloops: bool = False) -> ProblemFile:
         attack = AttackConstraint(attackable, attacker_observable)
         attack.check_against(control)
     except AutomatonError as exc:
-        raise ParseError(sections["alphabet"][0][0] if sections["alphabet"] else None,
+        # an empty [alphabet] is reported at its header
+        lines = sections["alphabet"]
+        raise ParseError(lines[0][0] if lines else headers["alphabet"],
                          str(exc)) from exc
 
-    plant = _parse_automaton(sections, "plant", alphabet)
-    sup_aut = _parse_automaton(sections, "supervisor", alphabet)
-    damage = _parse_automaton(sections, "damage", alphabet)
+    plant = _parse_automaton(sections, headers, "plant", alphabet)
+    sup_aut = _parse_automaton(sections, headers, "supervisor", alphabet)
+    damage = _parse_automaton(sections, headers, "damage", alphabet)
 
     if repair_selfloops:
         sup_aut = add_unobservable_selfloops(sup_aut, control)

@@ -218,7 +218,7 @@ def random_attack_instance(rng: random.Random, max_states: int = 4,
                                               max_states)
         sup = S.Supervisor(sup_aut, constraint)
         damage = random_damage(rng, alphabet, max_states)
-        report = S.validate_damage(damage, S.closed_loop(plant, sup))
+        report = S.validate_damage(damage, plant, sup)
         if report.ok:
             return plant, sup, damage, attack
     return None

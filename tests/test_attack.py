@@ -558,13 +558,13 @@ def first_labelled_witness(full: S.SubsetAutomaton, gp: S.GPAutomaton):
     None when no set is labelled."""
     parents = {}
     for (src, obs), dst in full.trans.items():
-        if dst != full.initial:
+        if dst != 0:
             parents.setdefault(dst, (src, obs))
     for i, lab in enumerate(full.labels):
         if lab:
             path = []
             cur = i
-            while cur != full.initial:
+            while cur != 0:
                 cur, obs = parents[cur]
                 path.append(obs)
             return S.AttackWitness(tuple(reversed(path)), full.subsets[i],

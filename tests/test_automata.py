@@ -343,7 +343,7 @@ def test_products_do_not_depend_on_the_insertion_order_of_trans():
                                             reached))
             s = S.Supervisor(x, sup.constraint)
             loop = S.sync_product(g, x)
-            witness = S.validate_damage(r, loop).witness
+            witness = S.validate_damage(r, g, s).witness
             dm = S.dual_marked_product(S.complete(g), S.complete(x))
             gp = S.generalized_product(g, S.annotate_supervisor(s), h, attack)
             views.append((

@@ -3,8 +3,10 @@ import random
 import pytest
 
 import supobf as S
-from conftest import (random_alphabet, random_damage, random_plant,
-                      random_supervisor_automaton, shortlex, strings_upto)
+import supobf.control
+from conftest import (marked_strings_upto, random_alphabet, random_damage,
+                      random_plant, random_supervisor_automaton, shortlex,
+                      strings_upto)
 
 
 def test_control_constraint_normality():
@@ -109,20 +111,20 @@ def test_closed_loop_language_property():
 
 
 def test_validate_damage_empty_marking_passes(tri):
-    report = S.validate_damage(tri.damage, S.closed_loop(tri.plant, tri.supervisor))
+    report = S.validate_damage(tri.damage, tri.plant, tri.supervisor)
     assert report.ok and report.witness is None
 
 
 def test_validate_damage_atk_passes(atk):
-    loop = S.closed_loop(atk.plant, atk.supervisor)
-    report = S.validate_damage(atk.damage, loop, plant=atk.plant)
-    assert report.ok and not report.warnings
+    report = S.validate_damage(atk.damage, atk.plant, atk.supervisor)
+    assert report.ok
+    assert S.stray_damage_string(atk.damage, atk.plant) is None
 
 
 def test_validate_damage_epsilon_marked_fails(atk):
     alph = atk.plant.alphabet
     h = S.totalize(S.PartialDFA(alph, ("z0",), {}, 0, frozenset({0})))
-    report = S.validate_damage(h, S.closed_loop(atk.plant, atk.supervisor))
+    report = S.validate_damage(h, atk.plant, atk.supervisor)
     assert not report.ok and report.witness == ()
 
 
@@ -136,10 +138,10 @@ def test_validate_damage_witness_is_the_first_in_shortlex_order():
         g = random_plant(rng, alph)
         sup = S.Supervisor(random_supervisor_automaton(rng, alph, c), c)
         h = random_damage(rng, alph)
-        loop = S.closed_loop(g, sup)
-        w = S.validate_damage(h, loop).witness
+        w = S.validate_damage(h, g, sup).witness
         if not w:
             continue
+        loop = S.closed_loop(g, sup)
         damaging = {s for s in strings_upto(loop, len(w))
                     if h.is_marked(h.run(s))}
         assert min(damaging, key=shortlex(alph)) == w
@@ -150,30 +152,64 @@ def test_validate_damage_witness_is_the_first_in_shortlex_order():
 def test_validate_damage_requires_marking_and_totality(atk):
     alph = atk.plant.alphabet
     partial = S.PartialDFA(alph, ("z0",), {}, 0, frozenset())
-    loop = S.closed_loop(atk.plant, atk.supervisor)
-    report = S.validate_damage(partial, loop)
+    report = S.validate_damage(partial, atk.plant, atk.supervisor)
     assert not report.ok and "total" in report.problems[0]
     unmarked = S.PartialDFA(alph, ("z0",),
                             {(0, e): 0 for e in alph.events}, 0, None)
     with pytest.raises(S.AutomatonError):
-        S.validate_damage(unmarked, loop)
+        S.validate_damage(unmarked, atk.plant, atk.supervisor)
 
 
-def test_validate_damage_warns_on_non_plant_strings(atk):
+def test_damage_check_builds_no_closed_loop(monkeypatch, example1):
+    # the damage check walks the (plant, supervisor, damage) triples
+    # itself: neither entry point builds the closed loop as a product
+    calls = []
+    product = supobf.control.sync_product
+    monkeypatch.setattr(supobf.control, "sync_product",
+                        lambda *args: calls.append(args) or product(*args))
+    pf = example1
+    verdict = S.non_attackable(pf.plant, pf.supervisor, pf.damage, pf.attack,
+                               validate=True)
+    result = S.obfuscate(S.ObfuscationRequest(
+        pf.plant, pf.supervisor, pf.control, pf.attack, pf.damage))
+    assert not verdict.non_attackable and result.found
+    assert calls == []
+
+
+def test_stray_damage_string_outside_the_plant(atk):
     alph = atk.plant.alphabet
     # marks "a a", which the closed loop avoids but the plant cannot even
-    # generate: validation passes with a warning
+    # generate: validation passes, and the string is reported as stray
     h = S.totalize(S.PartialDFA(alph, ("z0", "z1", "z2"),
                                 {(0, "a"): 1, (1, "a"): 2}, 0,
                                 frozenset({2})))
-    loop = S.closed_loop(atk.plant, atk.supervisor)
-    report = S.validate_damage(h, loop, plant=atk.plant)
-    assert report.ok
-    assert report.warnings and "a a" in report.warnings[0]
+    assert S.validate_damage(h, atk.plant, atk.supervisor).ok
+    assert S.stray_damage_string(h, atk.plant) == ("a", "a")
 
 
-def test_validate_damage_warning_only(example1):
+def test_no_stray_damage_string_in_example1(example1):
     # example1's damage automaton marks exactly the plant's damage strings
-    loop = S.closed_loop(example1.plant, example1.supervisor)
-    report = S.validate_damage(example1.damage, loop, plant=example1.plant)
-    assert report.ok and not report.warnings
+    report = S.validate_damage(example1.damage, example1.plant,
+                               example1.supervisor)
+    assert report.ok
+    assert S.stray_damage_string(example1.damage, example1.plant) is None
+
+
+def test_stray_damage_string_is_the_first_in_shortlex_order():
+    # against brute force: the first string, by length, then alphabet
+    # index, that the damage automaton marks and the plant cannot generate
+    rng = random.Random(2718)
+    checked = 0
+    for _ in range(200):
+        alph, _, _ = random_alphabet(rng)
+        g = random_plant(rng, alph)
+        h = random_damage(rng, alph)
+        w = S.stray_damage_string(h, g)
+        bound = 4 if w is None else len(w)
+        stray = marked_strings_upto(h, bound) - strings_upto(g, bound)
+        if w is None:
+            assert not stray
+            continue
+        assert min(stray, key=shortlex(alph)) == w
+        checked += 1
+    assert checked >= 40

@@ -233,3 +233,30 @@ def test_flag_violation_reported_at_the_alphabet(flags, message, tmp_path,
     path.write_text(text, encoding="utf-8")
     assert main(["validate", str(path)]) == 2
     assert capsys.readouterr().err == f"error: line 2: {message}\n"
+
+
+def empty_section_text(section: str) -> str:
+    """MINIMAL with ``section`` emptied; an empty [alphabet] empties the
+    flag sections too, and then heads the file."""
+    if section == "alphabet":
+        return ("[alphabet]\n[controllable]\n[observable]\n[attackable]\n"
+                "[attacker-observable]\n" + MINIMAL[MINIMAL.index("[plant]"):])
+    start = MINIMAL.index(f"[{section}]\n") + len(f"[{section}]\n")
+    return MINIMAL[:start] + MINIMAL[MINIMAL.index("[", start):]
+
+
+@pytest.mark.parametrize("section, message", [
+    ("alphabet", "alphabet must be nonempty"),
+    ("plant", "[plant] is missing states:"),
+])
+def test_empty_section_reported_at_its_header(section, message, tmp_path,
+                                              capsys):
+    text = empty_section_text(section)
+    line = text.splitlines().index(f"[{section}]") + 1
+    with pytest.raises(ParseError) as err:
+        parse_problem(text)
+    assert err.value.line == line
+    path = tmp_path / "empty.prob"
+    path.write_text(text, encoding="utf-8")
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: line {line}: {message}\n"

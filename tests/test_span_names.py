@@ -14,10 +14,10 @@ from supobf.sat import SatSolver
 attack_mod = importlib.import_module("supobf.attack")
 obfuscate_mod = importlib.import_module("supobf.obfuscate")
 
-ATTACK_NAMES = ("validate_damage", "closed_loop", "annotate_supervisor",
+ATTACK_NAMES = ("validate_damage", "annotate_supervisor",
                 "generalized_product", "project_attacker_view",
                 "determinize_and_label", "non_attackable")
-OBFUSCATE_NAMES = ("validate_damage", "closed_loop", "dual_marked_product",
+OBFUSCATE_NAMES = ("validate_damage", "dual_marked_product",
                    "canonical_key", "encode", "solve_instance",
                    "decode_model", "blocking_clause", "non_attackable",
                    "obfuscate")
@@ -50,6 +50,8 @@ def test_verify_calls_every_traced_name(monkeypatch, example1):
                                         example1.damage, example1.attack)
     assert not verdict.non_attackable
     assert set(calls) == {f"attack.{name}" for name in ATTACK_NAMES}
+    # the damage check is one call, the whole of ``control.validate``
+    assert calls["attack.validate_damage"] == 1
 
 
 def test_obfuscate_calls_every_traced_name(monkeypatch, example1):
@@ -61,10 +63,10 @@ def test_obfuscate_calls_every_traced_name(monkeypatch, example1):
     # candidates are verified without a second damage validation
     expected = {f"obfuscate.{name}" for name in OBFUSCATE_NAMES}
     expected |= {f"attack.{name}" for name in ATTACK_NAMES
-                 if name not in ("validate_damage", "closed_loop",
-                                 "non_attackable")}
+                 if name not in ("validate_damage", "non_attackable")}
     expected.add("SatSolver.solve")
     assert set(calls) == expected
+    assert calls["obfuscate.validate_damage"] == 1
 
 
 def test_obfuscate_loads_every_row_through_the_traced_names(monkeypatch,

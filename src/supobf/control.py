@@ -138,7 +138,8 @@ def validate_damage(h: PartialDFA, g: PartialDFA, s: Supervisor) -> DamageReport
     closed-loop string reaches a marked state of ``h``.  The witness is
     the first such string in shortlex order over ``h``'s alphabet, found
     by a breadth-first walk over the (plant, supervisor, damage) triples,
-    so the closed loop is never built.
+    so the closed loop is never built.  A check that passes raises last
+    if ``h``'s alphabet is not the plant's.
     """
     sup = s.automaton
     if g.alphabet.events != sup.alphabet.events:
@@ -159,6 +160,9 @@ def validate_damage(h: PartialDFA, g: PartialDFA, s: Supervisor) -> DamageReport
     order, trans = explore((g.initial, sup.initial, h.initial), successors,
                            stop=lambda core: core[2] in h.marked)
     if order[-1][2] not in h.marked:
+        if h.alphabet.events != g.alphabet.events:
+            raise AutomatonError(
+                "plant, supervisor and damage must share an alphabet")
         return DamageReport(True)
     return DamageReport(False, ["closed loop reaches a damage string"],
                         path_labels(trans, len(order) - 1))

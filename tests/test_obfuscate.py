@@ -216,6 +216,30 @@ def test_obfuscate_rejects_invalid_damage(atk):
         S.obfuscate(req)
 
 
+def test_obfuscate_checks_the_damage_alphabet_before_encoding(monkeypatch,
+                                                              example1):
+    # example1's damage automaton over its events in the other order
+    module = importlib.import_module("supobf.obfuscate")
+    calls = []
+
+    def counting_encode(*args):
+        calls.append(args[0])
+        return S.encode(*args)
+
+    monkeypatch.setattr(module, "encode", counting_encode)
+    h = example1.damage
+    flipped = S.Alphabet(tuple(reversed(h.alphabet.events)))
+    req = S.ObfuscationRequest(
+        example1.plant, example1.supervisor, example1.control,
+        example1.attack,
+        S.PartialDFA(flipped, h.names, h.trans, h.initial, h.marked))
+    with pytest.raises(S.AutomatonError) as info:
+        S.obfuscate(req)
+    assert str(info.value) == \
+        "plant, supervisor and damage must share an alphabet"
+    assert calls == []
+
+
 def test_obfuscate_randomized_minimality():
     rng = random.Random(2718)
     done = 0

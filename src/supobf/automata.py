@@ -145,17 +145,16 @@ class CompleteDFA:
 
 @dataclass(frozen=True)
 class DualMarkedDFA:
-    """Reachable product of two completions with two marking sets.
+    """Product of two completions over the first one's closed language.
 
-    ``mark_a`` holds pairs where both components are alive; ``mark_b``
-    holds pairs where the first component is alive and the second is
-    dumped.  The transition map is total on the retained (reachable)
-    states.
+    Every pair has a live first component.  ``mark_a`` holds the pairs
+    where the second is alive too, ``mark_b`` the others, where it is
+    dumped.  The transition map is partial: defined where the first is.
     """
 
     alphabet: Alphabet
     pairs: tuple[tuple[int, int], ...]
-    trans: dict  # (state, event) -> state, total on reachable part
+    trans: dict  # (state, event) -> state, where the first component is
     initial: int
     mark_a: frozenset[int]
     mark_b: frozenset[int]
@@ -289,23 +288,24 @@ def sync_product(a: PartialDFA, b: PartialDFA) -> PartialDFA:
 
 
 def dual_marked_product(gbar: CompleteDFA, sbar: CompleteDFA) -> DualMarkedDFA:
-    """Reachable product of a completed plant and a completed supervisor,
-    marking pairs that witness the two languages to be separated."""
+    """Product of a completed plant and a completed supervisor over L(G),
+    marking pairs that witness the two languages to be separated.  It
+    stops at the plant's dump: a separating supervisor may do anything on
+    the strings outside L(G), so every pair is A- or B-marked."""
     if gbar.alphabet.events != sbar.alphabet.events:
         raise AutomatonError("operands must share an alphabet")
     # both completions are total, so every row lists the whole alphabet
-    g_rows, s_rows = gbar.inner.delta, sbar.inner.delta
+    g_rows, s_rows, dump = gbar.inner.delta, sbar.inner.delta, gbar.dump
 
     def successors(pair):
         s_row = s_rows[pair[1]]
-        return [(ev, (ng, s_row[ev])) for ev, ng in g_rows[pair[0]].items()]
+        return [(ev, (ng, s_row[ev])) for ev, ng in g_rows[pair[0]].items()
+                if ng != dump]
 
     order, trans = explore((gbar.inner.initial, sbar.inner.initial),
                            successors)
-    mark_a = frozenset(i for i, (pg, ps) in enumerate(order)
-                       if pg != gbar.dump and ps != sbar.dump)
-    mark_b = frozenset(i for i, (pg, ps) in enumerate(order)
-                       if pg != gbar.dump and ps == sbar.dump)
+    mark_b = frozenset(i for i, (_, ps) in enumerate(order) if ps == sbar.dump)
+    mark_a = frozenset(range(len(order))) - mark_b
     return DualMarkedDFA(gbar.alphabet, tuple(order), trans, 0, mark_a, mark_b)
 
 

@@ -23,8 +23,8 @@ Variables:
   ``DUMP``, and the new target column ``t(i, e, k)`` for ``i < k``.
 * reachability variables ``r(i, y)``: lower bounds on reachability of the
   pair (candidate row ``i``, product state ``y``) in the synchronization
-  of the candidate's completion with the product.  The dump row's come
-  with row 0.
+  of the candidate's completion with the product, over the plant's
+  strings only.  The dump row's come with row 0.
 * parent variables ``p(k, i)`` for ``i < k``: ``i`` is the smallest row
   with an edge into ``k``.
 * capacity variables ``c(m)``, one per row, ``c(k + 1)`` coming with row
@@ -52,7 +52,9 @@ them (unit clauses early, so that loading folds them into what follows):
 * separation clauses: row ``k`` on no B-marked product state, and with
   row 0 the initial pair and no dump row on A-marked states; then
   reachability propagation along the row pairs that involve ``k`` (with
-  row 0, the dump's), leaving out what those unit clauses decide;
+  row 0, the dump's), leaving out what those unit clauses decide, which
+  keeps the live rows' edges from A-marked states and the dump's from
+  B-marked ones;
 * symmetry-breaking clauses (Ulyantsev, Zakirzyanov & Shalyto, LATA
   2015, for the encoding of Heule & Verwer, ICGI 2010): row ``k`` has a
   parent, and between rows ``k - 1`` and ``k`` parents are monotone and
@@ -225,7 +227,9 @@ def separation_clauses(vt: VarTable, product: DualMarkedDFA,
     row 0, the dump) and product edge y1 -e-> y2: ``r(i,y1) ∧ t(i,e,j) →
     r(j,y2)``, with constant transition variables folded away, and with
     the marking units folded in: no clause from a pair they make
-    unreachable, and no target literal they make false.
+    unreachable, and no target literal they make false.  Every product
+    state is A- or B-marked, so that leaves the live rows' edges from
+    A-marked states and the dump's from B-marked ones.
     """
     if vt.num_product_states != product.n_states:
         raise AutomatonError("variable table sized for a different product")
@@ -236,25 +240,19 @@ def separation_clauses(vt: VarTable, product: DualMarkedDFA,
     gone = {i: a if i == DUMP else b for i in rows}
     # per event, the edges of the candidate's completion that can occur
     # and involve a new row, as (r(i, 0), r(j, 0), t, i == j, gone[j]),
-    # listed per kind of source state: from an A-marked state the live
-    # rows' only, from a B-marked one the dump's only, from others all
+    # listed per kind of source state: the live rows' from an A-marked
+    # one, then the dump's from a B-marked one
     edges = {}
     for e in product.alphabet.events:
-        kinds = ([], [], [])
+        kinds = ([], [])
         for i in rows:
             for j in rows:
                 t = vt.trans_var(i, e, j)
                 if t is not False and (i in new or j in new):
-                    edge = (vt.reach_var(i, 0), vt.reach_var(j, 0), t, i == j,
-                            gone[j])
-                    kinds[0 if i != DUMP else 1].append(edge)
-                    kinds[2].append(edge)
+                    kinds[i == DUMP].append((vt.reach_var(i, 0),
+                                             vt.reach_var(j, 0), t, i == j,
+                                             gone[j]))
         edges[e] = kinds
-    kind = [2] * product.n_states
-    for y in a:
-        kind[y] = 0
-    for y in b:
-        kind[y] = 1
     # the unit clauses first: loaded at the root, they fold into the rest
     out = []
     if k == 0:
@@ -264,7 +262,7 @@ def separation_clauses(vt: VarTable, product: DualMarkedDFA,
     # the product's edges in (state, event) order
     for (y1, e), y2 in product.trans.items():
         loop = y1 == y2
-        for ri, rj, t, same, targets_gone in edges[e][kind[y1]]:
+        for ri, rj, t, same, targets_gone in edges[e][y1 in b]:
             if same and loop:
                 continue  # a tautology
             if y2 in targets_gone:

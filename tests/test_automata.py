@@ -152,7 +152,7 @@ def test_dual_marked_product_marking_property():
         g = random_plant(rng, alph, 3)
         s = random_plant(rng, alph, 3)
         gds = S.dual_marked_product(S.complete(g), S.complete(s))
-        bound = min(gds.n_states, 5)
+        bound = 5
         lg, ls = strings_upto(g, bound), strings_upto(s, bound)
         frontier = [((), 0)]
         seen = {((), 0)}
@@ -165,7 +165,13 @@ def test_dual_marked_product_marking_property():
                 assert in_b == (string in lg and string not in ls)
                 if len(string) < bound:
                     for ev in alph.events:
-                        node = (string + (ev,), gds.trans[(y, ev)])
+                        # the product is defined exactly on the plant's
+                        # strings
+                        nxt_y = gds.trans.get((y, ev))
+                        assert (nxt_y is not None) == (string + (ev,) in lg)
+                        if nxt_y is None:
+                            continue
+                        node = (string + (ev,), nxt_y)
                         if node not in seen:
                             seen.add(node)
                             nxt.append(node)

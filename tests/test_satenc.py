@@ -418,7 +418,9 @@ def test_constant_folding_matches_explicit_encoding():
     clauses.append([r_of[(0, prod.initial)]])
     for y1 in range(prod.n_states):
         for e in alph.events:
-            y2 = prod.trans[(y1, e)]
+            y2 = prod.trans.get((y1, e))
+            if y2 is None:  # outside the plant
+                continue
             for i in range(n + 1):
                 for j in range(n + 1):
                     if (i, y1) == (j, y2):
@@ -453,6 +455,77 @@ def test_constant_folding_matches_explicit_encoding():
 
     assert rename(models_opt, shared_opt, proj_opt[len(shared_opt):]) == \
         rename(models_exp, shared_exp, proj_exp[len(shared_exp):])
+
+
+def untrimmed_product(plant, sup_aut):
+    """Breadth-first product of both completions, the plant's dump pairs
+    included: ``(n_states, trans, mark_a, mark_b)``."""
+    gbar, sbar = S.complete(plant), S.complete(sup_aut)
+    start = (gbar.inner.initial, sbar.inner.initial)
+    index, order, trans = {start: 0}, [start], {}
+    for y, (q, x) in enumerate(order):
+        for e in plant.alphabet.events:
+            pair = (gbar.inner.trans[(q, e)], sbar.inner.trans[(x, e)])
+            trans[(y, e)] = index.setdefault(pair, len(order))
+            if trans[(y, e)] == len(order):
+                order.append(pair)
+    alive = [y for y, (q, _) in enumerate(order) if q != gbar.dump]
+    return (len(order), trans,
+            {y for y in alive if order[y][1] != sbar.dump},
+            {y for y in alive if order[y][1] == sbar.dump})
+
+
+def t_projected_models(clauses, num_vars, tvars):
+    """The transition-variable parts of every model."""
+    solver = SatSolver()
+    solver.reserve(num_vars)
+    for cl in clauses:
+        solver.add_clause(cl)
+    seen = set()
+    while solver.solve():
+        model = solver.model()
+        seen.add(frozenset(v for v in tvars if model[v]))
+        solver.add_clause([-v if model[v] else v for v in tvars])
+    return seen
+
+
+def test_trimmed_product_keeps_the_models_of_the_all_pairs_encoding():
+    # the naive encoding: every row pair along every edge of the untrimmed
+    # product, the plant's dump pairs included, with the same transition
+    # and symmetry clauses; projected onto t, the models must agree
+    rng = random.Random(4711)
+    trimmed = nonempty = 0
+    for _ in range(40):
+        alph, constraint, _ = random_alphabet(rng, max_events=3)
+        plant = random_plant(rng, alph, 4)
+        sup_aut = random_supervisor_automaton(rng, alph, constraint, 3)
+        prod = S.dual_marked_product(S.complete(plant), S.complete(sup_aut))
+        n_all, trans, mark_a, mark_b = untrimmed_product(plant, sup_aut)
+        trimmed += prod.n_states < n_all
+        for n in (1, 2):
+            cnf, vt = S.encode(n, prod, constraint)
+            rows = vt.targets()
+            r = {(i, y): cnf.num_vars + 1 + k * n_all + y
+                 for k, i in enumerate(rows) for y in range(n_all)}
+            naive = [cl for k in range(n)
+                     for cl in (S.transition_function_clauses(vt, k)
+                                + S.controllability_clauses(vt, k)
+                                + S.symmetry_clauses(vt, k))]
+            naive += [[vt.capacity_var(n)], [r[(0, 0)]]]
+            naive += [[-r[(S.DUMP, y)]] for y in mark_a]
+            naive += [[-r[(i, y)]] for y in mark_b for i in range(n)]
+            for (y1, e), y2 in trans.items():
+                for i in rows:
+                    for j in rows:
+                        t = vt.trans_var(i, e, j)
+                        if t is not False and (i, y1) != (j, y2):
+                            naive.append([-r[(i, y1)], r[(j, y2)]]
+                                         + ([] if t is True else [-t]))
+            tvars = [v for *_, v in vt.iter_trans_vars()]
+            models = t_projected_models(cnf.clauses, cnf.num_vars, tvars)
+            assert models == t_projected_models(naive, max(r.values()), tvars)
+            nonempty += bool(models)
+    assert trimmed >= 20 and nonempty >= 40
 
 
 # -- DIMACS ------------------------------------------------------------------

@@ -145,7 +145,7 @@ def obfuscate(req: ObfuscationRequest,
     models = 0  # each model is one candidate, verified once
     truncated = False
     winner = None  # (canonical key, supervisor)
-    vt = VarTable(product.alphabet, constraint, product.n_states)
+    vt = VarTable(product.alphabet, constraint, product.mark_a)
     backend = None  # the one solver, created with row 0
     for n in range(1, n_max + 1):
         cnf, _ = encode(n, product, constraint, vt)  # adds row n - 1

@@ -198,19 +198,25 @@ def parse_problem(text: str, repair_selfloops: bool = False) -> ProblemFile:
     """
     sections, headers = _split_sections(text)
     events = _event_list(sections, "alphabet")
-    controllable, observable, attackable, attacker_observable = (
-        frozenset(_event_list(sections, name, set(events)))
-        for name in _EVENT_SECTIONS[1:])
+    flags = {name: frozenset(_event_list(sections, name, set(events)))
+             for name in _EVENT_SECTIONS[1:]}
     try:
         alphabet = Alphabet(tuple(events))
-        control = ControlConstraint(controllable, observable)
-        attack = AttackConstraint(attackable, attacker_observable)
+        control = ControlConstraint(flags["controllable"], flags["observable"])
+        attack = AttackConstraint(flags["attackable"],
+                                  flags["attacker-observable"])
         attack.check_against(control)
     except AutomatonError as exc:
-        # an empty [alphabet] is reported at its header
-        lines = sections["alphabet"]
-        raise ParseError(lines[0][0] if lines else headers["alphabet"],
-                         str(exc)) from exc
+        # "<subject> events must be <bound>": at the subject's first event
+        # outside the bound; an [alphabet] fault: at its first line or header
+        subject, _, bound = str(exc).partition(" events must be ")
+        if bound:
+            line = next(no for no, toks in sections[subject]
+                        if not flags[bound].issuperset(toks))
+        else:
+            lines = sections["alphabet"]
+            line = lines[0][0] if lines else headers["alphabet"]
+        raise ParseError(line, str(exc)) from exc
 
     plant = _parse_automaton(sections, headers, "plant", alphabet)
     sup_aut = _parse_automaton(sections, headers, "supervisor", alphabet)

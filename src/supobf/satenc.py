@@ -24,7 +24,11 @@ Variables:
 * reachability variables ``r(i, y)``: lower bounds on reachability of the
   pair (candidate row ``i``, product state ``y``) in the synchronization
   of the candidate's completion with the product, over the plant's
-  strings only.  The dump row's come with row 0.
+  strings only.  Only a live row and an A-marked ``y`` have one; the rest
+  are compile-time constants: false on a B-marked ``y`` and on the dump
+  row at an A-marked one, true on the dump row at a B-marked one (nothing
+  refutes it, and from a B-marked state the product moves only to
+  B-marked ones, so setting it true extends any model).
 * parent variables ``p(k, i)`` for ``i < k``: ``i`` is the smallest row
   with an edge into ``k``.
 * capacity variables ``c(m)``, one per row, ``c(k + 1)`` coming with row
@@ -49,12 +53,10 @@ them (unit clauses early, so that loading folds them into what follows):
   successors (the pairs with the new target ``k``, and row ``k``'s own),
   the at-least-one successor clause of every row ``0..k`` over the
   targets ``0..k`` and ``DUMP``, guarded by ``c(k + 1)``, and ``¬c(k)``;
-* separation clauses: row ``k`` on no B-marked product state, and with
-  row 0 the initial pair and no dump row on A-marked states; then
-  reachability propagation along the row pairs that involve ``k`` (with
-  row 0, the dump's), leaving out what those unit clauses decide, which
-  keeps the live rows' edges from A-marked states and the dump's from
-  B-marked ones;
+* separation clauses: with row 0 the initial pair ``r(0, y0)``; then
+  reachability propagation along the row pairs that involve ``k``, with
+  constant literals folded away, which leaves the live rows' edges from
+  A-marked states;
 * symmetry-breaking clauses (Ulyantsev, Zakirzyanov & Shalyto, LATA
   2015, for the encoding of Heule & Verwer, ICGI 2010): row ``k`` has a
   parent, and between rows ``k - 1`` and ``k`` parents are monotone and
@@ -95,26 +97,29 @@ class VarTable:
     Each row's variables are allocated together, in the order the
     module docstring lists them: the new target column (row, then
     alphabet order), the row's own transition variables (alphabet order,
-    then successor ``0..k``, ``DUMP``), its reachability variables
-    (product-state order; with row 0 the dump's follow), its parent
-    variables (parent order) and its capacity variable.  Numbering
-    depends on the row count only, so two tables grown to the same size
-    number alike and emitted DIMACS files are reproducible.
+    then successor ``0..k``, ``DUMP``), its reachability variables (one
+    per state of ``mark_a``, the product's A-marked states, in state
+    order; :meth:`reach_var` gives the other pairs' constants), its
+    parent variables (parent order) and its capacity variable.  Numbering
+    depends on the row count and ``mark_a`` only, so two tables grown to
+    the same size number alike and emitted DIMACS files are reproducible.
     """
 
     def __init__(self, alphabet, constraint: ControlConstraint,
-                 num_product_states: int):
+                 mark_a: frozenset[int]):
         constraint.check_events(alphabet)
         self.n = 0
         self.num_vars = 0
         self.alphabet = alphabet
         self.constraint = constraint
-        self.num_product_states = num_product_states
+        self.mark_a = frozenset(mark_a)
         self.observable = [e for e in alphabet.events if e in constraint.observable]
         self.unobservable = [e for e in alphabet.events
                              if e not in constraint.observable]
         self._t: dict[tuple[int, str, int], int] = {}
-        self._r: dict[int, int] = {}  # row -> r(row, 0)
+        # an A-marked state's place in a live row's r block
+        self._a = {y: x for x, y in enumerate(sorted(self.mark_a))}
+        self._r: dict[int, int] = {}  # live row -> its first r variable
         self._p: dict[tuple[int, int], int] = {}
         self._c: list[int] = []  # c(m) at m - 1
 
@@ -132,9 +137,8 @@ class VarTable:
         for e in self.observable:
             for j in self.targets():
                 self._t[(k, e, j)] = self._new()
-        for i in (k, DUMP) if k == 0 else (k,):
-            self._r[i] = self.num_vars + 1
-            self.num_vars += self.num_product_states
+        self._r[k] = self.num_vars + 1
+        self.num_vars += len(self._a)
         for i in range(k):
             self._p[(k, i)] = self._new()
         self._c.append(self._new())
@@ -153,10 +157,14 @@ class VarTable:
             return i == j
         return self._t[(i, event, j)]
 
-    def reach_var(self, i: int, y: int) -> int:
-        if i not in self._r or not 0 <= y < self.num_product_states:
+    def reach_var(self, i: int, y: int) -> Union[int, bool]:
+        """Variable index for r(i, y) on a live row and an A-marked state,
+        else a constant: true on the dump row at a B-marked state."""
+        if i != DUMP and i not in self._r:
             raise AutomatonError(f"r({i},{y}) out of range")
-        return self._r[i] + y
+        if y not in self._a:
+            return i == DUMP
+        return i != DUMP and self._r[i] + self._a[y]
 
     def parent_var(self, j: int, i: int) -> int:
         if (j, i) not in self._p:
@@ -173,9 +181,9 @@ class VarTable:
             yield i, e, j, v
 
     def iter_reach_vars(self):
-        for i in self._r:
-            for y in range(self.num_product_states):
-                yield i, y, self._r[i] + y
+        for i, base in self._r.items():
+            for y, x in self._a.items():
+                yield i, y, base + x
 
     def iter_parent_vars(self):
         for (j, i), v in self._p.items():
@@ -219,58 +227,43 @@ def controllability_clauses(vt: VarTable, k: int) -> list[Clause]:
 
 def separation_clauses(vt: VarTable, product: DualMarkedDFA,
                        k: int) -> list[Clause]:
-    """Row ``k``'s reachability propagation plus the marking prohibitions.
-
-    The unit clauses come first: ``¬r(k, y)`` on B-marked states, and with
-    row 0 the initial pair ``r(0, y0)`` and ``¬r(DUMP, y)`` on A-marked
-    states.  Then, for every row pair (i, j) that involves ``k`` (or, with
-    row 0, the dump) and product edge y1 -e-> y2: ``r(i,y1) ∧ t(i,e,j) →
-    r(j,y2)``, with constant transition variables folded away, and with
-    the marking units folded in: no clause from a pair they make
-    unreachable, and no target literal they make false.  Every product
-    state is A- or B-marked, so that leaves the live rows' edges from
-    A-marked states and the dump's from B-marked ones.
-    """
-    if vt.num_product_states != product.n_states:
-        raise AutomatonError("variable table sized for a different product")
-    new = (0, DUMP) if k == 0 else (k,)
-    rows = [*range(k + 1), DUMP]
-    a, b = product.mark_a, product.mark_b
-    # the product states where the units make a row's pairs unreachable
-    gone = {i: a if i == DUMP else b for i in rows}
+    """Row ``k``'s reachability propagation: with row 0 first the unit
+    clause ``r(0, y0)`` (the initial pair is A-marked), then, for every
+    row pair (i, j) that involves ``k`` and product edge y1 -e-> y2,
+    ``r(i,y1) ∧ t(i,e,j) → r(j,y2)``, with constant ``t`` and ``r``
+    literals folded away: a clause with a true literal is dropped, a
+    false literal is left out.  That leaves the live rows' edges from
+    A-marked states."""
+    if vt.mark_a != product.mark_a:
+        raise AutomatonError("variable table built for a different product")
+    place, base = vt._a, vt._r
     # per event, the edges of the candidate's completion that can occur
-    # and involve a new row, as (r(i, 0), r(j, 0), t, i == j, gone[j]),
-    # listed per kind of source state: the live rows' from an A-marked
-    # one, then the dump's from a B-marked one
-    edges = {}
-    for e in product.alphabet.events:
-        kinds = ([], [])
-        for i in rows:
-            for j in rows:
-                t = vt.trans_var(i, e, j)
-                if t is not False and (i in new or j in new):
-                    kinds[i == DUMP].append((vt.reach_var(i, 0),
-                                             vt.reach_var(j, 0), t, i == j,
-                                             gone[j]))
-        edges[e] = kinds
-    # the unit clauses first: loaded at the root, they fold into the rest
-    out = []
-    if k == 0:
-        out.append([vt.reach_var(0, product.initial)])
-        out.extend([-vt.reach_var(DUMP, y)] for y in sorted(a))
-    out.extend([-vt.reach_var(k, y)] for y in sorted(b))
+    # from a live row and involve row k, as (first r of i, of j or None for
+    # the dump, t, i == j); the dump row's clauses all hold by its r
+    # constants, since only B-marked states follow a B-marked one
+    edges = {e: [(base[i], base.get(j), t, i == j)
+                 for i in range(k + 1) for j in (*range(k + 1), DUMP)
+                 if (i == k or j == k)
+                 and (t := vt.trans_var(i, e, j)) is not False]
+             for e in product.alphabet.events}
+    out = [[vt.reach_var(0, product.initial)]] if k == 0 else []
     # the product's edges in (state, event) order
     for (y1, e), y2 in product.trans.items():
-        loop = y1 == y2
-        for ri, rj, t, same, targets_gone in edges[e][y1 in b]:
-            if same and loop:
+        p1 = place.get(y1)
+        if p1 is None:
+            continue  # r(i, y1) is false on a B-marked state
+        p2 = place.get(y2)
+        for ri, rj, t, same in edges[e]:
+            if rj is None or p2 is None:
+                if rj is None and p2 is None:
+                    continue  # r(DUMP, y2) is true on a B-marked state
+                out.append([-(ri + p1)] if t is True else [-(ri + p1), -t])
+            elif same and p1 == p2:
                 continue  # a tautology
-            if y2 in targets_gone:
-                out.append([-(ri + y1)] if t is True else [-(ri + y1), -t])
             elif t is True:
-                out.append([-(ri + y1), rj + y2])
+                out.append([-(ri + p1), rj + p2])
             else:
-                out.append([-(ri + y1), -t, rj + y2])
+                out.append([-(ri + p1), -t, rj + p2])
     return out
 
 
@@ -338,7 +331,7 @@ def encode(n: int, product: DualMarkedDFA, constraint: ControlConstraint,
         raise AutomatonError("state bound must be at least 1")
     fresh = vt is None
     if fresh:
-        vt = VarTable(product.alphabet, constraint, product.n_states)
+        vt = VarTable(product.alphabet, constraint, product.mark_a)
     clauses = []
     while vt.n < n:
         k = vt.add_row()
@@ -406,9 +399,9 @@ def solve_instance(cnf: CnfInstance,
 
 def export_dimacs(cnf: CnfInstance, vt: Optional[VarTable] = None) -> str:
     """Standard DIMACS text; with a variable table, one comment line per
-    allocated variable (``c t <row> <event> <row>`` / ``c r <row> <y>`` /
-    ``c p <row> <parent>`` / ``c cap <size>``, the dump row written as
-    ``-1``)."""
+    allocated variable (``c t <row> <event> <row>`` / ``c r <row> <y>``,
+    live rows on A-marked states only / ``c p <row> <parent>`` /
+    ``c cap <size>``, the dump row written as ``-1``)."""
     lines = []
     if vt is not None:
         for i, e, j, v in vt.iter_trans_vars():

@@ -118,7 +118,7 @@ def grown_climb(product: S.DualMarkedDFA, constraint: S.ControlConstraint,
                 n_max: int):
     """Yield ``(n, backend, vt)`` for n = 1..n_max: one solver that takes
     row n - 1 at each size, as ``obfuscate`` grows it."""
-    vt = S.VarTable(product.alphabet, constraint, product.n_states)
+    vt = S.VarTable(product.alphabet, constraint, product.mark_a)
     backend = None
     for n in range(1, n_max + 1):
         cnf, _ = S.encode(n, product, constraint, vt)

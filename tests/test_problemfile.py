@@ -203,36 +203,49 @@ def test_parsing_builds_no_successor_tables(repair):
 
 
 def flag_text(controllable, observable, attackable, attacker_observable):
-    """MINIMAL with the given flag sections; the alphabet ``a`` is on
-    line 2."""
+    """MINIMAL with the given flag sections, each on the line after its
+    header: the alphabet ``a`` on line 2, then lines 4, 6, 8 and 10."""
     head = (f"[alphabet]\na\n[controllable]\n{controllable}\n"
             f"[observable]\n{observable}\n[attackable]\n{attackable}\n"
             f"[attacker-observable]\n{attacker_observable}\n")
     return head + MINIMAL[MINIMAL.index("[plant]"):]
 
 
-@pytest.mark.parametrize("flags, message", [
-    (("a", "", "", ""), "controllable events must be observable"),
-    (("a", "a", "a", ""), "attackable events must be attacker-observable"),
-    (("", "a", "a", "a"), "attackable events must be controllable"),
-    (("", "", "", "a"), "attacker-observable events must be observable"),
+@pytest.mark.parametrize("flags, message, line", [
+    (("a", "", "", ""), "controllable events must be observable", 4),
+    (("a", "a", "a", ""), "attackable events must be attacker-observable", 8),
+    (("", "a", "a", "a"), "attackable events must be controllable", 8),
+    (("", "", "", "a"), "attacker-observable events must be observable", 10),
     # two rules broken at once: the first in the order above is reported
-    (("a", "", "a", ""), "controllable events must be observable"),
-    (("", "a", "a", ""), "attackable events must be attacker-observable"),
-    (("", "", "a", "a"), "attackable events must be controllable"),
+    (("a", "", "a", ""), "controllable events must be observable", 4),
+    (("", "a", "a", ""), "attackable events must be attacker-observable", 8),
+    (("", "", "a", "a"), "attackable events must be controllable", 8),
 ], ids=["c-not-o", "a-not-ao", "a-not-c", "ao-not-o", "c-not-o+a-not-ao",
         "a-not-ao+a-not-c", "a-not-c+ao-not-o"])
-def test_flag_violation_reported_at_the_alphabet(flags, message, tmp_path,
-                                                 capsys):
+def test_flag_violation_reported_at_the_alphabet(flags, message, line,
+                                                 tmp_path, capsys):
+    # no longer at the alphabet: at the line of the first event in the
+    # rule's subject section that breaks it
     text = flag_text(*flags)
     with pytest.raises(ParseError) as err:
         parse_problem(text)
-    assert str(err.value) == f"line 2: {message}"
-    assert err.value.line == 2
+    assert str(err.value) == f"line {line}: {message}"
+    assert err.value.line == line
     path = tmp_path / "flags.prob"
     path.write_text(text, encoding="utf-8")
     assert main(["validate", str(path)]) == 2
-    assert capsys.readouterr().err == f"error: line 2: {message}\n"
+    assert capsys.readouterr().err == f"error: line {line}: {message}\n"
+
+
+def test_flag_violation_skips_the_lines_that_keep_the_rule():
+    # [controllable] lists b, which is observable, on its first line and
+    # a, which is not, on its second
+    text = ("[alphabet]\na b\n[controllable]\nb\na\n[observable]\nb\n"
+            "[attackable]\n[attacker-observable]\n"
+            + MINIMAL[MINIMAL.index("[plant]"):])
+    with pytest.raises(ParseError) as err:
+        parse_problem(text)
+    assert str(err.value) == "line 5: controllable events must be observable"
 
 
 def empty_section_text(section: str) -> str:

@@ -9,14 +9,14 @@ from conftest import (all_supervisor_automata, random_alphabet, random_plant,
                       random_supervisor_automaton, satisfiable_within)
 
 
-def make_vt(n, events, controllable, observable, num_product=0):
+def make_vt(n, events, controllable, observable, mark_a=frozenset()):
     c = S.ControlConstraint(frozenset(controllable), frozenset(observable))
-    return grown_table(n, S.Alphabet(tuple(events)), c, num_product)
+    return grown_table(n, S.Alphabet(tuple(events)), c, mark_a)
 
 
-def grown_table(n, alph, constraint, num_product):
+def grown_table(n, alph, constraint, mark_a):
     """A variable table grown from empty to ``n`` rows."""
-    vt = VarTable(alph, constraint, num_product)
+    vt = VarTable(alph, constraint, mark_a)
     for _ in range(n):
         vt.add_row()
     return vt
@@ -132,29 +132,66 @@ def test_separation_structure_no_b_marks():
     assert prod.mark_b == frozenset()
     vt = grown_table(1, alph, S.ControlConstraint(frozenset("a"),
                                                   frozenset("a")),
-                     prod.n_states)
-    clauses = S.separation_clauses(vt, prod, 0)
-    units = [c for c in clauses if len(c) == 1]
-    # initial reachability plus one dump-row prohibition per A-marked state
-    assert [vt.reach_var(0, prod.initial)] in units
-    for y in prod.mark_a:
-        assert [-vt.reach_var(S.DUMP, y)] in units
+                     prod.mark_a)
+    # the dump row holds no A-marked state: a constant, not a unit clause
+    assert vt.reach_var(S.DUMP, prod.initial) is False
+    r0 = vt.reach_var(0, prod.initial)
+    # initial reachability, then the one edge: its self-loop is a
+    # tautology, and its move to the dump leads to a false r(DUMP, y0)
+    assert S.separation_clauses(vt, prod, 0) == [
+        [r0], [-r0, -vt.trans_var(0, "a", S.DUMP)]]
 
 
 def test_separation_leaves_out_what_the_marking_units_decide(perf):
-    # r(DUMP, y) on A-marked and r(i, y) on B-marked states are false by
-    # unit clauses; no other separation clause mentions them
+    # r(DUMP, y) on A-marked and r(i, y) on B-marked states, once false by
+    # unit clauses, are constants of the table, and so is a true r(DUMP, y)
+    # on B-marked states: the separation clauses read only the live rows'
+    # r variables on A-marked states, and with row 0 the initial unit is
+    # their only unit clause on r that is not negative
     prod = product_of(perf)
     assert prod.mark_a and prod.mark_b
-    vt = grown_table(2, prod.alphabet, perf.control, prod.n_states)
-    dead = {vt.reach_var(S.DUMP, y) for y in prod.mark_a}
+    vt = grown_table(2, prod.alphabet, perf.control, prod.mark_a)
+    live_a = {v for *_, v in vt.iter_reach_vars()}
+    tvars = {v for *_, v in vt.iter_trans_vars()}
     for k in (0, 1):
-        dead |= {vt.reach_var(k, y) for y in prod.mark_b}
         clauses = S.separation_clauses(vt, prod, k)
-        rest = [c for c in clauses if not (len(c) == 1 and -c[0] in dead)]
-        assert len(clauses) - len(rest) == len(prod.mark_b) + (
-            len(prod.mark_a) if k == 0 else 0)
-        assert rest and not any(abs(l) in dead for c in rest for l in c)
+        assert clauses and all(abs(l) in live_a | tvars
+                               for c in clauses for l in c)
+        # past the initial unit, every clause starts with ¬r(i, y1)
+        assert all(-c[0] in live_a for c in clauses[k == 0:])
+        positive_units = [c for c in clauses if len(c) == 1 and c[0] > 0]
+        assert positive_units == ([[vt.reach_var(0, prod.initial)]]
+                                  if k == 0 else [])
+
+
+def test_reach_vars_only_for_live_rows_on_a_marked_states(perf):
+    prod = product_of(perf)
+    assert prod.mark_b
+    vt = grown_table(3, prod.alphabet, perf.control, prod.mark_a)
+    # no dump-row or B-marked pair is allocated
+    pairs = [(i, y) for i, y, _ in vt.iter_reach_vars()]
+    assert pairs == [(i, y) for i in range(3) for y in sorted(prod.mark_a)]
+    assert [v for *_, v in vt.iter_reach_vars()] == \
+        [vt.reach_var(i, y) for i, y in pairs]
+    # num_vars is t + r + p + c, and every variable is allocated once
+    allocated = [[v for *_, v in it()]
+                 for it in (vt.iter_trans_vars, vt.iter_reach_vars,
+                            vt.iter_parent_vars, vt.iter_capacity_vars)]
+    assert sorted(sum(allocated, [])) == list(range(1, vt.num_vars + 1))
+
+
+def test_reach_var_constants(perf):
+    prod = product_of(perf)
+    vt = grown_table(2, prod.alphabet, perf.control, prod.mark_a)
+    for y in prod.mark_b:
+        # false on a B-marked state at a live row, true at the dump row
+        assert vt.reach_var(0, y) is False and vt.reach_var(1, y) is False
+        assert vt.reach_var(S.DUMP, y) is True
+    for y in prod.mark_a:
+        assert vt.reach_var(S.DUMP, y) is False
+        assert type(vt.reach_var(1, y)) is int
+    with pytest.raises(S.AutomatonError):
+        vt.reach_var(2, min(prod.mark_a))
 
 
 def test_single_state_fixture_solution(single):
@@ -253,7 +290,7 @@ def test_tri_unsat_at_1_matches_brute_force(tri):
 def test_decode_all_dump_row():
     alph = S.Alphabet(("a", "u"))
     c = S.ControlConstraint(frozenset("a"), frozenset("a"))
-    vt = grown_table(1, alph, c, 0)
+    vt = grown_table(1, alph, c, frozenset())
     model = {vt.trans_var(0, "a", j): j == S.DUMP for j in (0, S.DUMP)}
     decoded = S.decode_model(model, vt)
     assert decoded.trans == {(0, "u"): 0}
@@ -263,7 +300,7 @@ def test_decode_all_dump_row():
 def test_decode_rejects_double_successor():
     alph = S.Alphabet(("a",))
     vt = grown_table(1, alph, S.ControlConstraint(frozenset("a"),
-                                                  frozenset("a")), 0)
+                                                  frozenset("a")), frozenset())
     model = {vt.trans_var(0, "a", 0): True,
              vt.trans_var(0, "a", S.DUMP): True}
     with pytest.raises(S.BackendError):
@@ -351,14 +388,25 @@ def test_monotonicity_in_bound(tri, single):
 
 def test_constant_folding_matches_explicit_encoding():
     # one observable and one unobservable event; compare against an
-    # encoding where every transition variable is explicit and the
-    # constants become unit clauses
+    # encoding where every transition and reachability variable is
+    # explicit and the constants become unit clauses, except the true
+    # r(DUMP, y) on B-marked states, which it leaves free; the first
+    # supervisor leaves every product state A-marked, the second disables
+    # a at x1, which makes B-marked ones
+    for sup_trans in ({(0, "a"): 0, (0, "u"): 0},
+                      {(0, "a"): 1, (0, "u"): 0, (1, "u"): 1}):
+        explicit_encoding_agrees(sup_trans)
+
+
+def explicit_encoding_agrees(sup_trans):
     alph = S.Alphabet(("a", "u"))
     constraint = S.ControlConstraint(frozenset("a"), frozenset("a"))
     plant = S.PartialDFA(alph, ("q0", "q1"),
                          {(0, "a"): 1, (0, "u"): 0, (1, "a"): 0})
-    sup_aut = S.PartialDFA(alph, ("x0",), {(0, "a"): 0, (0, "u"): 0})
+    names = tuple(f"x{x}" for x in range(1 + max(sup_trans.values())))
+    sup_aut = S.PartialDFA(alph, names, sup_trans)
     prod = S.dual_marked_product(S.complete(plant), S.complete(sup_aut))
+    assert bool(prod.mark_b) == (len(names) > 1)
     n = 2
     cnf, vt = S.encode(n, prod, constraint)
     # the groups that fold constants, without the symmetry-breaking
@@ -440,14 +488,17 @@ def test_constant_folding_matches_explicit_encoding():
     shared_opt = [vt.trans_var(i, "a", row(j))
                   for i in range(n) for j in range(n + 1)]
     shared_exp = [explicit[(i, "a", j)] for i in range(n) for j in range(n + 1)]
-    # project to the t-variables plus all r-variables
-    proj_opt = shared_opt + [vt.reach_var(row(i), y) for i in range(n + 1)
-                             for y in range(prod.n_states)]
-    proj_exp = shared_exp + [r_of[(i, y)] for i in range(n + 1)
-                             for y in range(prod.n_states)]
+    # project to the t-variables plus the r-variables of the live rows on
+    # A-marked states, the only ones the table allocates
+    live_a = [(i, y) for i in range(n) for y in sorted(prod.mark_a)]
+    proj_opt = shared_opt + [vt.reach_var(i, y) for i, y in live_a]
+    proj_exp = shared_exp + [r_of[pair] for pair in live_a]
     models_opt = count_models(folded, cnf.num_vars, proj_opt)
     models_exp = count_models(clauses, nxt - 1, proj_exp)
     assert len(models_opt) == len(models_exp)
+    # the true constants extend every explicit model
+    assert count_models(clauses + [[r_of[(n, y)]] for y in prod.mark_b],
+                        nxt - 1, proj_exp) == models_exp
 
     def rename(models, tvars, rvars):
         order = {v: k for k, v in enumerate(tvars + rvars)}
@@ -543,20 +594,35 @@ def test_dimacs_round_trip_and_external_solve(tri):
     assert f"c r 0 0 = {vt.reach_var(0, 0)}" in text
     assert f"c p 1 0 = {vt.parent_var(1, 0)}" in text
     assert f"c t 0 a -1 = {vt.trans_var(0, 'a', S.DUMP)}" in text
+    # reachability comment lines only for the allocated pairs: live rows
+    # on A-marked states
+    assert "\nc r -1 " not in text
+    assert [l for l in text.splitlines() if l.startswith("c r ")] == \
+        [f"c r {i} {y} = {v}" for i, y, v in vt.iter_reach_vars()]
+    assert len(prod.mark_a) < prod.n_states
     # the capacity of size 2 is asserted, so every model has two rows
     assert text.endswith(f"\n{vt.capacity_var(2)} 0\n")
     parsed = S.parse_dimacs(text)
     assert parsed.num_vars == cnf.num_vars
     assert parsed.clauses == cnf.clauses
-    model = naive_dpll(parsed.clauses, parsed.num_vars)
-    assert model is not None
-    for v in range(1, parsed.num_vars + 1):
-        model.setdefault(v, False)
-    decoded = S.decode_model(model, vt)
-    assert S.reachable_states(decoded) == [0, 1]
-    eq, _ = S.language_equal(S.sync_product(tri.plant, decoded),
-                             S.closed_loop(tri.plant, tri.supervisor))
-    assert eq
+    # every model, solved outside the package and blocked on its
+    # transition variables
+    tvars = [v for *_, v in vt.iter_trans_vars()]
+    clauses, decoded_all = list(parsed.clauses), []
+    while (model := naive_dpll(clauses, parsed.num_vars)) is not None:
+        for v in range(1, parsed.num_vars + 1):
+            model.setdefault(v, False)
+        decoded = S.decode_model(model, vt)
+        assert S.reachable_states(decoded) == [0, 1]
+        eq, _ = S.language_equal(S.sync_product(tri.plant, decoded),
+                                 S.closed_loop(tri.plant, tri.supervisor))
+        assert eq
+        decoded_all.append(decoded.trans)
+        clauses.append([-v if model[v] else v for v in tvars])
+    # the same two supervisors, in the same order, as an encoding with an
+    # r variable for every (row, product state) pair gives
+    assert decoded_all == [{(0, "a"): 1, (1, "a"): 1, (1, "b"): 0},
+                           {(0, "a"): 1, (1, "a"): 0, (1, "b"): 0}]
 
 
 def test_parse_dimacs_rejects_bad_header():
@@ -587,7 +653,7 @@ def test_capacity_literals_restrict_the_size(tri):
     # that holds the earlier ones, the newest capacity literal selects the
     # size, and the retired ones admit no model
     prod = product_of(tri)
-    vt = VarTable(prod.alphabet, tri.control, prod.n_states)
+    vt = VarTable(prod.alphabet, tri.control, prod.mark_a)
     backend, grown, answers = None, [], []
     for n in (1, 2, 3):
         cnf, same = S.encode(n, prod, tri.control, vt)

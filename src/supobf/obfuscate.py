@@ -88,7 +88,7 @@ def iter_size_candidates(backend: SatSolver, vt: VarTable,
     Every solve runs under the assumption ``c(vt.n)``, and every model is
     one candidate: its rows are all reachable, in canonical order, so
     :func:`decode_model` reads it as states ``s0..s{n-1}`` and
-    :func:`blocking_clause` blocks it on those rows before re-solving.
+    :func:`blocking_clause` blocks that supervisor before re-solving.
     ``limit`` caps the models taken from the solver and must be at least
     1; the enumeration counts as truncated when it yields ``limit``.
     """
@@ -98,9 +98,8 @@ def iter_size_candidates(backend: SatSolver, vt: VarTable,
     count = 0
     while (limit is None or count < limit) and backend.solve(assumptions):
         count += 1
-        model = backend.model()
-        candidate = decode_model(model, vt)
-        backend.add_clause(blocking_clause(model, vt))
+        candidate = decode_model(backend.model(), vt)
+        backend.add_clause(blocking_clause(candidate, vt))
         yield canonical_key(candidate), candidate
 
 
@@ -142,7 +141,6 @@ def obfuscate(req: ObfuscationRequest,
 
     product = dual_marked_product(complete(plant), complete(sup_aut))
     trace: list[SizeTrace] = []
-    models = 0  # each model is one candidate, verified once
     truncated = False
     winner = None  # (canonical key, supervisor)
     vt = VarTable(product.alphabet, constraint, product.mark_a)
@@ -161,14 +159,14 @@ def obfuscate(req: ObfuscationRequest,
                 row.resilient += 1
                 if winner is None or key < winner[0]:
                     winner = (key, candidate)
-        models += row.candidates
         truncated = truncated or row.candidates == req.enumeration_limit
         trace.append(row)
         if progress is not None:
             progress(row)
         if winner is not None:
             break
-    solver_stats = dict(backend.stats, models=models)
+    # each model is one candidate, verified once
+    solver_stats = dict(backend.stats, models=sum(r.candidates for r in trace))
     if winner is None:
         return ObfuscationResult(False, None, None, n_max, trace,
                                  solver_stats, truncated)

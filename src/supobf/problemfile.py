@@ -31,8 +31,8 @@ A problem file declares the alphabet, the flag sets and three automata::
 that starts with ``[`` is a section header, so no event or state name
 starts with ``[``.  Automaton sections take ``states:``, ``initial:``,
 optional ``marked:`` (an empty list is meaningful: no marked states) and
-optional ``auto-complete: true`` to add a non-marked absorbing sink.
-Everything after ``trans:`` is one transition per line.
+optional ``auto-complete: true`` to add a non-marked absorbing sink,
+each at most once.  Everything after ``trans:`` is one transition per line.
 """
 
 from __future__ import annotations
@@ -125,11 +125,15 @@ def _parse_automaton(sections, headers, name: str,
     trans_lines: list[tuple[int, list[str]]] = []
     in_trans = False
     header_line = lines[0][0] if lines else headers[name]
+    key_line: dict[str, int] = {}
     for no, toks in lines:
         if in_trans:
             trans_lines.append((no, toks))
             continue
         key = toks[0]
+        if key in key_line:
+            raise ParseError(no, f"repeated {key} in [{name}]")
+        key_line[key] = no
         if key == "states:":
             states = toks[1:]
             if not states:
@@ -163,7 +167,8 @@ def _parse_automaton(sections, headers, name: str,
         raise ParseError(header_line, f"[{name}] is missing initial:")
     index = {s: i for i, s in enumerate(states)}
     if initial not in index:
-        raise ParseError(header_line, f"initial state {initial!r} not declared")
+        raise ParseError(key_line["initial:"],
+                         f"initial state {initial!r} not declared")
     trans = {}
     for no, toks in trans_lines:
         if len(toks) != 3:
@@ -182,7 +187,8 @@ def _parse_automaton(sections, headers, name: str,
     if marked is not None:
         for s in marked:
             if s not in index:
-                raise ParseError(header_line, f"marked state {s!r} not declared")
+                raise ParseError(key_line["marked:"],
+                                 f"marked state {s!r} not declared")
         marked_set = frozenset(index[s] for s in marked)
     aut = PartialDFA(alphabet, tuple(states), trans, index[initial], marked_set)
     if auto_complete:

@@ -4,9 +4,10 @@ The backend contract expected by the encoding layer:
 
 * ``add_clause(lits)``: clauses may be added at any time, including after
   a satisfiable ``solve()`` (blocking clauses for model enumeration).  It
-  checks the literals, folds the root values in and, unless the clause
-  can be watched on the kept assumption levels (below), hands it to
-  ``load_clauses``;
+  checks the literals and, unless the clause can be watched on the kept
+  assumption levels (below), hands it to ``load_clauses``, the one place
+  that folds root values in; a watched clause may keep literals false at
+  the root, which no watch is put on and conflict analysis skips;
 * ``load_clauses(clauses)``: bulk loading at the root, the one way a
   clause enters there.  It skips ``add_clause``'s checks, so every
   clause must be well formed: distinct non-zero literals over the
@@ -98,11 +99,9 @@ class SatSolver:
 
     # -- variable/value plumbing -------------------------------------------
 
-    def reserve(self, num_vars: int) -> None:
-        """Pre-declare variables so models cover them even when unmentioned."""
-        self._ensure_var(num_vars)
-
-    def _ensure_var(self, v: int) -> None:
+    def reserve(self, v: int) -> None:
+        """Declare the variables up to ``v``, so models cover them even
+        when no clause mentions them."""
         old = self.num_vars
         if v <= old:
             return
@@ -134,8 +133,6 @@ class SatSolver:
         # drop the free decisions; the levels of the last call's
         # assumptions stay (decision level k holds assumption k - 1)
         self._backtrack(len(self._assumed))
-        value = self._value
-        level = self._level
         seen = set()
         clause = []
         for lit in lits:
@@ -146,17 +143,12 @@ class SatSolver:
             if lit in seen:
                 continue
             seen.add(lit)
-            v = lit if lit > 0 else -lit
-            self._ensure_var(v)
-            val = value[lit]
-            if val != _UNSET and level[v] == 0:
-                if val == _TRUE:
-                    return  # satisfied at root
-                continue  # falsified at root, drop the literal
+            self.reserve(lit if lit > 0 else -lit)
             clause.append(lit)
         if len(clause) > 1 and self._trail_lim:
             # watch two literals that are not false on the kept assumption
             # levels; without two, the clause goes in at the root
+            value = self._value
             free = [k for k, lit in enumerate(clause) if value[lit] != _FALSE]
             if len(free) >= 2:
                 if free[:2] != [0, 1]:
@@ -166,8 +158,7 @@ class SatSolver:
                                  if k not in (a, b)])
                 self._attach(clause)
                 return
-        # well formed now, and no literal is assigned at the root
-        self.load_clauses([clause])
+        self.load_clauses([clause])  # well formed now
 
     def load_clauses(self, clauses: Iterable[list[int]]) -> None:
         """Add well-formed clauses at the root (see the module docstring
@@ -179,8 +170,7 @@ class SatSolver:
         value_of = value.__getitem__
         watches = self._watches
         for cl in clauses:
-            # every assigned literal is at the root here; fold the values
-            # in as add_clause does
+            # every assigned literal is at the root here
             if not any(map(value_of, cl)):
                 clause = cl[:]
             elif _TRUE in map(value_of, cl):
@@ -191,7 +181,7 @@ class SatSolver:
                 watches[clause[0]].append(clause)
                 watches[clause[1]].append(clause)
             elif clause:
-                # a unit: it holds from the root on, as add_clause has it
+                # a unit: it holds from the root on
                 self._assign(clause[0], None)
                 if self._propagate() is not None:
                     self._unsat = True
@@ -401,7 +391,7 @@ class SatSolver:
         for lit in assumptions:
             if lit == 0 or not isinstance(lit, int):
                 raise ValueError(f"bad literal {lit!r}")
-            self._ensure_var(abs(lit))
+            self.reserve(abs(lit))
         self.stats["solves"] += 1
         if self._unsat:
             return False

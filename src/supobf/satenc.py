@@ -370,16 +370,13 @@ def decode_model(model: dict[int, bool], vt: VarTable) -> PartialDFA:
                       0, None)
 
 
-def blocking_clause(model: dict[int, bool], vt: VarTable) -> Clause:
-    """Clause forbidding every model that repeats this model's transition
-    function on the rows ``0..vt.n-1``."""
-    out = []
-    targets = vt.targets()
-    for i in range(vt.n):
-        for e in vt.observable:
-            hit = next(j for j in targets if model[vt.trans_var(i, e, j)])
-            out.append(-vt.trans_var(i, e, hit))
-    return out
+def blocking_clause(candidate: PartialDFA, vt: VarTable) -> Clause:
+    """Clause forbidding every model that repeats the transition function
+    of ``candidate``, a supervisor :func:`decode_model` read off a model,
+    on the rows ``0..vt.n-1``."""
+    trans = candidate.trans
+    return [-vt.trans_var(i, e, trans.get((i, e), DUMP))
+            for i in range(vt.n) for e in vt.observable]
 
 
 def solve_instance(cnf: CnfInstance,

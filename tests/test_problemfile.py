@@ -273,3 +273,44 @@ def test_empty_section_reported_at_its_header(section, message, tmp_path,
     path.write_text(text, encoding="utf-8")
     assert main(["validate", str(path)]) == 2
     assert capsys.readouterr().err == f"error: line {line}: {message}\n"
+
+
+@pytest.mark.parametrize("key, repeat", [
+    ("states:", "states: z0 z1"),
+    ("initial:", "initial: z0"),
+    ("marked:", "marked:"),
+    ("auto-complete:", "auto-complete: false"),
+])
+def test_repeated_key_rejected_at_its_line(key, repeat, tmp_path, capsys):
+    # a second line for a key would silently replace the first, e.g. an
+    # empty marked: dropping the damage's marked states
+    lines = MINIMAL.splitlines()
+    first = next(k for k in range(lines.index("[damage]"), len(lines))
+                 if lines[k].startswith(key))
+    lines.insert(first + 1, repeat)
+    text = "\n".join(lines) + "\n"
+    with pytest.raises(ParseError) as err:
+        parse_problem(text)
+    message = f"line {first + 2}: repeated {key} in [damage]"
+    assert str(err.value) == message
+    path = tmp_path / "repeated.prob"
+    path.write_text(text, encoding="utf-8")
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("key, message", [
+    ("initial:", "initial state 'z7' not declared"),
+    ("marked:", "marked state 'z7' not declared"),
+])
+def test_undeclared_key_state_reported_at_the_key_line(key, message):
+    # the key sits below the section's first line, where the error used
+    # to point
+    lines = MINIMAL.splitlines()
+    at = next(k for k in range(lines.index("[damage]"), len(lines))
+              if lines[k].startswith(key))
+    assert lines[at - 1] != "[damage]"
+    lines[at] = f"{key} z7"
+    with pytest.raises(ParseError) as err:
+        parse_problem("\n".join(lines))
+    assert str(err.value) == f"line {at + 1}: {message}"

@@ -211,8 +211,18 @@ def test_clauses_added_between_solves_under_assumptions():
     # trail when it can, and the next call reuses the shared prefix of
     # its assumptions; every answer must still match brute force
     rng = random.Random(2003)
-    for _ in range(120):
-        num_vars, clauses = random_cnf(rng, 6, 10)
+    for case in range(220):
+        if case < 120:
+            num_vars, clauses = random_cnf(rng, 6, 10)
+            fixed = []
+        else:
+            # three variables fixed at the root by unit clauses; clauses
+            # watched on the kept levels keep their root-false literals
+            num_vars = 6
+            fixed = [rng.choice([1, -1]) * v
+                     for v in rng.sample(range(1, num_vars + 1), 3)]
+            clauses = ([[lit] for lit in fixed]
+                       + well_formed_clauses(rng, num_vars, rng.randint(0, 5)))
         s = SatSolver()
         s.reserve(num_vars)
         for cl in clauses:
@@ -236,6 +246,17 @@ def test_clauses_added_between_solves_under_assumptions():
             roll = rng.random()
             if want and roll < 0.4:  # block the model
                 clause = [-v if model[v] else v for v in model]
+            elif fixed and roll < 0.9:
+                # two literals false at the root, sometimes one true there,
+                # and one or two free literals, in any order
+                false1, false2, true = rng.sample(fixed, 3)
+                free = [v for v in range(1, num_vars + 1)
+                        if v not in {abs(lit) for lit in fixed}]
+                clause = ([-false1, -false2]
+                          + ([true] if rng.random() < 0.3 else [])
+                          + [rng.choice([1, -1]) * v
+                             for v in rng.sample(free, rng.randint(1, 2))])
+                rng.shuffle(clause)
             elif roll < 0.6:
                 clause = [rng.choice([1, -1]) * rng.randint(1, num_vars)]
             else:

@@ -5,7 +5,8 @@ import pytest
 import supobf as S
 from supobf.sat import SatSolver
 from supobf.satenc import VarTable
-from conftest import (all_supervisor_automata, random_alphabet, random_plant,
+from conftest import (all_supervisor_automata, grown_climb, load_fixture,
+                      random_alphabet, random_plant,
                       random_supervisor_automaton, satisfiable_within)
 
 
@@ -244,7 +245,8 @@ def test_bulk_load_matches_clause_by_clause(tri, atk):
             while len(models) < 40 and backend.solve([vt.capacity_var(n)]):
                 model = backend.model()
                 models.append(model)
-                backend.add_clause(S.blocking_clause(model, vt))
+                backend.add_clause(
+                    S.blocking_clause(S.decode_model(model, vt), vt))
             runs.append((models, backend.stats))
         assert runs[0] == runs[1]
         assert runs[0][0]
@@ -273,7 +275,7 @@ def test_parent_variables_follow_the_breadth_first_numbering(atk, perf):
                 assert model[p] == (i == parent)
                 if i != parent:
                     assert not backend.solve(fixed + [p])
-            backend.add_clause(S.blocking_clause(model, vt))
+            backend.add_clause(S.blocking_clause(decoded, vt))
             models += 1
         assert models == 60
 
@@ -313,7 +315,7 @@ def test_blocking_clause_widths(tri, single):
     backend = S.solve_instance(cnf)
     assert backend.solve()
     model = backend.model()
-    assert len(S.blocking_clause(model, vt)) == 1
+    assert len(S.blocking_clause(S.decode_model(model, vt), vt)) == 1
 
     prod = product_of(tri)
     cnf, vt = S.encode(2, prod, tri.control)
@@ -322,7 +324,7 @@ def test_blocking_clause_widths(tri, single):
     model = backend.model()
     decoded = S.decode_model(model, vt)
     assert decoded.names == ("s0", "s1")
-    clause = S.blocking_clause(model, vt)
+    clause = S.blocking_clause(decoded, vt)
     assert len(clause) == 4  # two rows, two observable events
     # after blocking, the same reachable transition function never returns
     backend.add_clause(clause)
@@ -333,7 +335,30 @@ def test_blocking_clause_widths(tri, single):
         key = tuple(sorted(d.trans.items()))
         assert key not in seen
         seen.add(key)
-        backend.add_clause(S.blocking_clause(model, vt))
+        backend.add_clause(S.blocking_clause(d, vt))
+
+
+@pytest.mark.parametrize("name", ["example1", "example1_obfuscated", "tri",
+                                  "atk", "single", "perf"])
+def test_blocking_clause_matches_the_model_scan(name):
+    # the clause built from the decoded supervisor is, literal for literal,
+    # the one a scan of the model for each row's true target gives
+    pf = load_fixture(name)
+    models = 0
+    for n, backend, vt in grown_climb(product_of(pf), pf.control, 3):
+        while models < 80 and backend.solve([vt.capacity_var(n)]):
+            model = backend.model()
+            scanned = []
+            for i in range(vt.n):
+                for e in vt.observable:
+                    hit = next(j for j in vt.targets()
+                               if model[vt.trans_var(i, e, j)])
+                    scanned.append(-vt.trans_var(i, e, hit))
+            clause = S.blocking_clause(S.decode_model(model, vt), vt)
+            assert clause == scanned
+            backend.add_clause(clause)
+            models += 1
+    assert models > 0
 
 
 def test_soundness_on_random_instances():

@@ -235,7 +235,7 @@ def non_attackable(g: PartialDFA, s: Supervisor, h: PartialDFA,
     if validate:
         report = validate_damage(h, g, s)
         if not report.ok:
-            raise AutomatonError("; ".join(report.problems))
+            raise AutomatonError(report.problem)
     gp = generalized_product(g, annotate_supervisor(s), h, ac)
     sub = determinize_and_label(project_attacker_view(gp), gp,
                                 stop_at_label=True)

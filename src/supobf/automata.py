@@ -1,6 +1,9 @@
 """Deterministic partial finite automata over one alphabet: completion,
-products, canonical forms.  Walks read the per-state ``delta`` rows;
-``step`` stays for the reference checks the tests compare them against.
+products, canonical forms.  Every automaton is a :class:`PartialDFA`,
+the dual-marked product too, marked on its A-pairs; a
+:class:`CompleteDFA` holds one whose completeness it checks.  Walks
+read the per-state ``delta`` rows; ``step`` stays for the reference
+checks the tests compare them against.
 
 All values are immutable after construction; functions return fresh
 automata and never mutate their inputs.
@@ -40,9 +43,6 @@ class Alphabet:
             _check_event_name(e)
         if len(set(self.events)) != len(self.events):
             raise AutomatonError("duplicate event names")
-
-    def index(self, event: str) -> int:
-        return self.events.index(event)
 
 
 @dataclass(frozen=True)
@@ -128,10 +128,8 @@ class CompleteDFA:
 
     def __post_init__(self):
         p = self.inner
-        for q in range(p.n_states):
-            for ev in p.alphabet.events:
-                if (q, ev) not in p.trans:
-                    raise AutomatonError("completion is not total")
+        if not is_total(p):
+            raise AutomatonError("completion is not total")
         for ev in p.alphabet.events:
             if p.trans[(self.dump, ev)] != self.dump:
                 raise AutomatonError("dump state is not absorbing")
@@ -141,31 +139,6 @@ class CompleteDFA:
     @property
     def alphabet(self) -> Alphabet:
         return self.inner.alphabet
-
-
-@dataclass(frozen=True)
-class DualMarkedDFA:
-    """Product of two completions over the first one's closed language.
-
-    Every pair has a live first component.  ``mark_a`` holds the pairs
-    where the second is alive too, ``mark_b`` the others, where it is
-    dumped.  The transition map is partial: defined where the first is.
-    """
-
-    alphabet: Alphabet
-    pairs: tuple[tuple[int, int], ...]
-    trans: dict  # (state, event) -> state, where the first component is
-    initial: int
-    mark_a: frozenset[int]
-    mark_b: frozenset[int]
-
-    def __post_init__(self):
-        if self.mark_a & self.mark_b:
-            raise AutomatonError("mark_a and mark_b must be disjoint")
-
-    @property
-    def n_states(self) -> int:
-        return len(self.pairs)
 
 
 def _with_absorbing_state(p: PartialDFA, name: str,
@@ -287,26 +260,30 @@ def sync_product(a: PartialDFA, b: PartialDFA) -> PartialDFA:
     return PartialDFA(a.alphabet, names, trans, 0, marked)
 
 
-def dual_marked_product(gbar: CompleteDFA, sbar: CompleteDFA) -> DualMarkedDFA:
+def dual_marked_product(gbar: CompleteDFA, sbar: CompleteDFA) -> PartialDFA:
     """Product of a completed plant and a completed supervisor over L(G),
-    marking pairs that witness the two languages to be separated.  It
-    stops at the plant's dump: a separating supervisor may do anything on
-    the strings outside L(G), so every pair is A- or B-marked."""
+    marked on the pairs that witness the two languages to be separated.
+    It stops at the plant's dump: a separating supervisor may do anything
+    on the strings outside L(G).  So every pair has a live plant
+    component: the marked ones, the A-pairs, have a live supervisor
+    component, and the unmarked ones, the B-pairs, the supervisor's dump.
+    Pairs are named ``(q,x)``, as :func:`sync_product` names them."""
     if gbar.alphabet.events != sbar.alphabet.events:
         raise AutomatonError("operands must share an alphabet")
     # both completions are total, so every row lists the whole alphabet
-    g_rows, s_rows, dump = gbar.inner.delta, sbar.inner.delta, gbar.dump
+    g, s = gbar.inner, sbar.inner
+    g_rows, s_rows, dump = g.delta, s.delta, gbar.dump
 
     def successors(pair):
         s_row = s_rows[pair[1]]
         return [(ev, (ng, s_row[ev])) for ev, ng in g_rows[pair[0]].items()
                 if ng != dump]
 
-    order, trans = explore((gbar.inner.initial, sbar.inner.initial),
-                           successors)
-    mark_b = frozenset(i for i, (_, ps) in enumerate(order) if ps == sbar.dump)
-    mark_a = frozenset(range(len(order))) - mark_b
-    return DualMarkedDFA(gbar.alphabet, tuple(order), trans, 0, mark_a, mark_b)
+    order, trans = explore((g.initial, s.initial), successors)
+    names = tuple(f"({g.names[pg]},{s.names[ps]})" for pg, ps in order)
+    marked = frozenset(i for i, (_, ps) in enumerate(order)
+                       if ps != sbar.dump)
+    return PartialDFA(gbar.alphabet, names, trans, 0, marked)
 
 
 def language_equal(a: PartialDFA, b: PartialDFA):

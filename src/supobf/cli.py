@@ -51,8 +51,7 @@ def cmd_validate(args) -> int:
         print("warning: damage string not generable by the plant: "
               + (" ".join(stray) or "ε"), file=sys.stderr)
     if not report.ok:
-        for problem in report.problems:
-            print(f"error: {problem}", file=sys.stderr)
+        print(f"error: {report.problem}", file=sys.stderr)
         if report.witness is not None:
             print("  damage string in the closed loop: "
                   + (" ".join(report.witness) or "ε"), file=sys.stderr)

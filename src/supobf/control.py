@@ -13,7 +13,7 @@ uncontrollable events.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .automata import (Alphabet, AutomatonError, PartialDFA, explore,
@@ -125,9 +125,14 @@ def closed_loop(g: PartialDFA, s: Supervisor) -> PartialDFA:
 
 @dataclass
 class DamageReport:
-    ok: bool
-    problems: list[str] = field(default_factory=list)
+    """The first problem :func:`validate_damage` found, if any."""
+
+    problem: Optional[str] = None
     witness: Optional[tuple[str, ...]] = None
+
+    @property
+    def ok(self) -> bool:
+        return self.problem is None
 
 
 def validate_damage(h: PartialDFA, g: PartialDFA, s: Supervisor) -> DamageReport:
@@ -147,7 +152,7 @@ def validate_damage(h: PartialDFA, g: PartialDFA, s: Supervisor) -> DamageReport
     if h.marked is None:
         raise AutomatonError("damage automaton needs an explicit marked set")
     if not is_total(h):
-        return DamageReport(False, ["damage automaton is not total"])
+        return DamageReport("damage automaton is not total")
     g_rows, x_rows, h_rows = g.delta, sup.delta, h.delta
 
     def successors(core):
@@ -163,8 +168,8 @@ def validate_damage(h: PartialDFA, g: PartialDFA, s: Supervisor) -> DamageReport
         if h.alphabet.events != g.alphabet.events:
             raise AutomatonError(
                 "plant, supervisor and damage must share an alphabet")
-        return DamageReport(True)
-    return DamageReport(False, ["closed loop reaches a damage string"],
+        return DamageReport()
+    return DamageReport("closed loop reaches a damage string",
                         path_labels(trans, len(order) - 1))
 
 

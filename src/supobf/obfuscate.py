@@ -133,7 +133,7 @@ def obfuscate(req: ObfuscationRequest,
     req.attack.check_against(constraint)
     report = validate_damage(req.damage, plant, req.supervisor)
     if not report.ok:
-        raise ValueError("damage validation failed: " + "; ".join(report.problems))
+        raise ValueError("damage validation failed: " + report.problem)
 
     n_max = req.n_max if req.n_max is not None else len(reachable_states(sup_aut))
     if n_max < 1:
@@ -143,7 +143,7 @@ def obfuscate(req: ObfuscationRequest,
     trace: list[SizeTrace] = []
     truncated = False
     winner = None  # (canonical key, supervisor)
-    vt = VarTable(product.alphabet, constraint, product.mark_a)
+    vt = VarTable(product.alphabet, constraint, product.marked)
     backend = None  # the one solver, created with row 0
     for n in range(1, n_max + 1):
         cnf, _ = encode(n, product, constraint, vt)  # adds row n - 1

@@ -196,6 +196,21 @@ def _parse_automaton(sections, headers, name: str,
     return aut
 
 
+def _alphabet_fault_line(sections, headers, message: str) -> int:
+    """The first line of [alphabet] whose events, with those above it,
+    fail with ``message``: the line of the first bad or repeated event,
+    or the header of an empty section."""
+    events = []
+    for no, toks in sections["alphabet"]:
+        events += toks
+        try:
+            Alphabet(tuple(events))
+        except AutomatonError as exc:
+            if str(exc) == message:
+                return no
+    return headers["alphabet"]
+
+
 def parse_problem(text: str, repair_selfloops: bool = False) -> ProblemFile:
     """Parse and validate a problem file.
 
@@ -214,14 +229,13 @@ def parse_problem(text: str, repair_selfloops: bool = False) -> ProblemFile:
         attack.check_against(control)
     except AutomatonError as exc:
         # "<subject> events must be <bound>": at the subject's first event
-        # outside the bound; an [alphabet] fault: at its first line or header
+        # outside the bound; else an [alphabet] fault
         subject, _, bound = str(exc).partition(" events must be ")
         if bound:
             line = next(no for no, toks in sections[subject]
                         if not flags[bound].issuperset(toks))
         else:
-            lines = sections["alphabet"]
-            line = lines[0][0] if lines else headers["alphabet"]
+            line = _alphabet_fault_line(sections, headers, str(exc))
         raise ParseError(line, str(exc)) from exc
 
     plant = _parse_automaton(sections, headers, "plant", alphabet)

@@ -4,7 +4,8 @@ The encoding searches for an ``n``-state supervisor (plus an implicit dump
 state, the row ``DUMP``) whose completion separates the two marked
 languages of a dual-marked product automaton, while satisfying the
 controllability and observability constraints of the target control
-constraint.
+constraint.  The product is a partial automaton whose marked states are
+its A-marked pairs; the unmarked ones are B-marked.
 
 An instance grows one row at a time: :meth:`VarTable.add_row` allocates
 the variables of row ``k``, and the clause groups below give the clauses
@@ -69,7 +70,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from .automata import AutomatonError, DualMarkedDFA, PartialDFA
+from .automata import AutomatonError, PartialDFA
 from .control import ControlConstraint
 from .sat import BackendError, SatSolver
 
@@ -98,11 +99,12 @@ class VarTable:
     module docstring lists them: the new target column (row, then
     alphabet order), the row's own transition variables (alphabet order,
     then successor ``0..k``, ``DUMP``), its reachability variables (one
-    per state of ``mark_a``, the product's A-marked states, in state
-    order; :meth:`reach_var` gives the other pairs' constants), its
-    parent variables (parent order) and its capacity variable.  Numbering
-    depends on the row count and ``mark_a`` only, so two tables grown to
-    the same size number alike and emitted DIMACS files are reproducible.
+    per state of ``mark_a``, the product's marked set, its A-marked
+    states, in state order; :meth:`reach_var` gives the other pairs'
+    constants), its parent variables (parent order) and its capacity
+    variable.  Numbering depends on the row count and ``mark_a`` only, so
+    two tables grown to the same size number alike and emitted DIMACS
+    files are reproducible.
     """
 
     def __init__(self, alphabet, constraint: ControlConstraint,
@@ -225,7 +227,7 @@ def controllability_clauses(vt: VarTable, k: int) -> list[Clause]:
             if e not in vt.constraint.controllable]
 
 
-def separation_clauses(vt: VarTable, product: DualMarkedDFA,
+def separation_clauses(vt: VarTable, product: PartialDFA,
                        k: int) -> list[Clause]:
     """Row ``k``'s reachability propagation: with row 0 first the unit
     clause ``r(0, y0)`` (the initial pair is A-marked), then, for every
@@ -234,7 +236,7 @@ def separation_clauses(vt: VarTable, product: DualMarkedDFA,
     literals folded away: a clause with a true literal is dropped, a
     false literal is left out.  That leaves the live rows' edges from
     A-marked states."""
-    if vt.mark_a != product.mark_a:
+    if vt.mark_a != product.marked:
         raise AutomatonError("variable table built for a different product")
     place, base = vt._a, vt._r
     # per event, the edges of the candidate's completion that can occur
@@ -311,7 +313,7 @@ def symmetry_clauses(vt: VarTable, k: int) -> list[Clause]:
     return out
 
 
-def encode(n: int, product: DualMarkedDFA, constraint: ControlConstraint,
+def encode(n: int, product: PartialDFA, constraint: ControlConstraint,
            vt: Optional[VarTable] = None) -> tuple[CnfInstance, VarTable]:
     """Clauses of the rows up to ``n``, with their table.
 
@@ -331,7 +333,7 @@ def encode(n: int, product: DualMarkedDFA, constraint: ControlConstraint,
         raise AutomatonError("state bound must be at least 1")
     fresh = vt is None
     if fresh:
-        vt = VarTable(product.alphabet, constraint, product.mark_a)
+        vt = VarTable(product.alphabet, constraint, product.marked)
     clauses = []
     while vt.n < n:
         k = vt.add_row()

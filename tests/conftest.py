@@ -67,7 +67,8 @@ def strings_upto(aut: S.PartialDFA, maxlen: int) -> set[tuple[str, ...]]:
 def shortlex(alphabet: S.Alphabet):
     """Sort key of strings over ``alphabet``: length first, then the
     events' alphabet indices."""
-    return lambda string: (len(string), [alphabet.index(e) for e in string])
+    return lambda string: (len(string),
+                           [alphabet.events.index(e) for e in string])
 
 
 def marked_strings_upto(aut: S.PartialDFA, maxlen: int) -> set[tuple[str, ...]]:
@@ -114,11 +115,11 @@ def all_supervisor_automata(alphabet: S.Alphabet,
         yield S.PartialDFA(alphabet, tuple(f"s{i}" for i in range(n)), trans)
 
 
-def grown_climb(product: S.DualMarkedDFA, constraint: S.ControlConstraint,
+def grown_climb(product: S.PartialDFA, constraint: S.ControlConstraint,
                 n_max: int):
     """Yield ``(n, backend, vt)`` for n = 1..n_max: one solver that takes
     row n - 1 at each size, as ``obfuscate`` grows it."""
-    vt = S.VarTable(product.alphabet, constraint, product.mark_a)
+    vt = S.VarTable(product.alphabet, constraint, product.marked)
     backend = None
     for n in range(1, n_max + 1):
         cnf, _ = S.encode(n, product, constraint, vt)
@@ -126,7 +127,7 @@ def grown_climb(product: S.DualMarkedDFA, constraint: S.ControlConstraint,
         yield n, backend, vt
 
 
-def satisfiable_within(product: S.DualMarkedDFA,
+def satisfiable_within(product: S.PartialDFA,
                        constraint: S.ControlConstraint, n: int) -> bool:
     """Whether some behavior-preserving supervisor has at most ``n``
     reachable states: each size of a grown climb solved under its

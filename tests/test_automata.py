@@ -64,6 +64,31 @@ def test_complete_tri_supervisor(tri):
         assert S.accepts(tri.supervisor.automaton, string) == expect
 
 
+def test_complete_dfa_rejects_what_is_not_a_completion():
+    # states p0, p1 and the dump 2, marked {0, 1}, total and absorbing
+    good = S.complete(S.PartialDFA(simple_alphabet("a", "b"), ("p0", "p1"),
+                                   {(0, "a"): 1}))
+    inner = good.inner
+    assert S.CompleteDFA(inner, good.dump) == good
+
+    def variant(drop=(), set_to=(), marked=inner.marked):
+        trans = {k: v for k, v in inner.trans.items() if k not in drop}
+        trans.update(set_to)
+        return S.PartialDFA(inner.alphabet, inner.names, trans,
+                            inner.initial, marked)
+
+    for aut, message in (
+            (variant(drop=[(1, "b")]), "completion is not total"),
+            (variant(set_to={(2, "b"): 0}), "dump state is not absorbing"),
+            (variant(marked=frozenset({0, 1, 2})),
+             "completion must mark exactly the non-dump states"),
+            (variant(marked=None),
+             "completion must mark exactly the non-dump states")):
+        with pytest.raises(S.AutomatonError) as err:
+            S.CompleteDFA(aut, good.dump)
+        assert str(err.value) == message
+
+
 def test_complete_language_property():
     rng = random.Random(7)
     for _ in range(40):
@@ -121,19 +146,26 @@ def test_sync_product_distinct_alphabets_raise():
 
 
 def test_dual_marked_product_tri(tri):
-    sbar = S.complete(tri.supervisor.automaton)
-    gds = S.dual_marked_product(S.complete(tri.plant), sbar)
-    q = tri.plant.names.index
-    x = tri.supervisor.automaton.names.index
-    mark_a_pairs = {gds.pairs[i] for i in gds.mark_a}
-    mark_b_pairs = {gds.pairs[i] for i in gds.mark_b}
-    assert (q("q0"), x("x0")) in mark_a_pairs
-    assert (q("q1"), x("x1")) in mark_a_pairs
-    assert (q("q2"), sbar.dump) in mark_b_pairs
+    gds = S.dual_marked_product(S.complete(tri.plant),
+                                S.complete(tri.supervisor.automaton))
+    # a partial automaton marked on its A-pairs, with pairs named as the
+    # closed loop names them
+    assert isinstance(gds, S.PartialDFA)
+    assert gds.names == ("(q0,x0)", "(q1,x1)", "(q2,dump)")
+    assert gds.marked == frozenset({0, 1})
     # the B-marked pair is reached by the string "b"
-    state = 0
-    state = gds.trans[(state, "b")]
-    assert state in gds.mark_b
+    state = gds.trans[(0, "b")]
+    assert gds.names[state] == "(q2,dump)" and state not in gds.marked
+    # it renders and emits like any automaton: A-pairs as marked states
+    dot = S.to_dot(gds, "product")
+    assert 'n0 [label="(q0,x0)" shape=doublecircle];' in dot
+    assert 'n1 [label="(q1,x1)" shape=doublecircle];' in dot
+    assert 'n2 [label="(q2,dump)" shape=circle];' in dot
+    section = S.emit_automaton_section("product", gds)
+    assert section.splitlines()[1:4] == [
+        "states: (q0,x0) (q1,x1) (q2,dump)", "initial: (q0,x0)",
+        "marked: (q0,x0) (q1,x1)"]
+    assert "(q0,x0) b (q2,dump)" in section.splitlines()
 
 
 def test_dual_marked_product_empty_b_marks():
@@ -141,8 +173,8 @@ def test_dual_marked_product_empty_b_marks():
     g = S.PartialDFA(alph, ("q0",), {(0, "a"): 0})
     s = S.PartialDFA(alph, ("x0",), {(0, "a"): 0})  # L(s) = L(g)
     gds = S.dual_marked_product(S.complete(g), S.complete(s))
-    assert gds.mark_b == frozenset()
-    assert gds.mark_a == frozenset({0}) and gds.n_states == 1
+    assert gds.marked == frozenset({0}) and gds.n_states == 1
+    assert gds.names == ("(q0,x0)",)
 
 
 def test_dual_marked_product_marking_property():
@@ -159,10 +191,14 @@ def test_dual_marked_product_marking_property():
         for _ in range(bound + 1):
             nxt = []
             for string, y in frontier:
-                in_a = y in gds.mark_a
-                in_b = y in gds.mark_b
+                in_a = y in gds.marked
+                in_b = y not in gds.marked
                 assert in_a == (string in lg and string in ls)
                 assert in_b == (string in lg and string not in ls)
+                # named by its components, the supervisor's dump as "dump"
+                x = s.run(string)
+                assert gds.names[y] == (f"({g.names[g.run(string)]},"
+                                        f"{'dump' if x is None else s.names[x]})")
                 if len(string) < bound:
                     for ev in alph.events:
                         # the product is defined exactly on the plant's
@@ -317,7 +353,7 @@ def alphabet_ordered_copy(p):
     """``p`` with its ``trans`` dict filled state by state, in alphabet
     order within each state."""
     return _reinserted(p, sorted(p.trans.items(), key=lambda kv: (
-        kv[0][0], p.alphabet.index(kv[0][1]))))
+        kv[0][0], p.alphabet.events.index(kv[0][1]))))
 
 
 def test_delta_rows_follow_the_alphabet_whatever_the_insertion_order():
@@ -354,7 +390,7 @@ def test_products_do_not_depend_on_the_insertion_order_of_trans():
             gp = S.generalized_product(g, S.annotate_supervisor(s), h, attack)
             views.append((
                 loop.names, list(loop.trans.items()), loop.marked,
-                dm.pairs, list(dm.trans.items()), dm.mark_a, dm.mark_b,
+                dm.names, list(dm.trans.items()), dm.marked,
                 gp.names, gp.cores, list(gp.trans.items()),
                 list(gp.attack.items()), witness,
                 S.canonical_key(x), S.reachable_states(x)))

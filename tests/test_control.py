@@ -153,7 +153,7 @@ def test_validate_damage_requires_marking_and_totality(atk):
     alph = atk.plant.alphabet
     partial = S.PartialDFA(alph, ("z0",), {}, 0, frozenset())
     report = S.validate_damage(partial, atk.plant, atk.supervisor)
-    assert not report.ok and "total" in report.problems[0]
+    assert not report.ok and "total" in report.problem
     unmarked = S.PartialDFA(alph, ("z0",),
                             {(0, e): 0 for e in alph.events}, 0, None)
     with pytest.raises(S.AutomatonError):

@@ -191,6 +191,29 @@ def test_event_name_starting_with_bracket_rejected():
     assert "'[b'" in str(err.value)
 
 
+@pytest.mark.parametrize("extra, message", [
+    ("a", "duplicate event names"),
+    ("e [b", "bad event name: '[b'"),
+    ("e\nf a", "duplicate event names"),
+], ids=["repeated", "bad", "repeated-on-the-third-line"])
+def test_alphabet_fault_reported_at_its_line(extra, message, tmp_path,
+                                             capsys):
+    # example1's alphabet is line 5; the fault is on the line of the first
+    # repeated or bad event, not at the section's first line
+    lines = (FIXTURES / "example1.prob").read_text(encoding="utf-8").splitlines()
+    assert lines[3:5] == ["[alphabet]", "a b c d a'"]
+    added = extra.split("\n")
+    text = "\n".join(lines[:5] + added + lines[5:]) + "\n"
+    line = 5 + len(added)
+    with pytest.raises(ParseError) as err:
+        parse_problem(text)
+    assert str(err.value) == f"line {line}: {message}"
+    path = tmp_path / "alphabet.prob"
+    path.write_text(text, encoding="utf-8")
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: line {line}: {message}\n"
+
+
 @pytest.mark.parametrize("repair", [False, True])
 def test_parsing_builds_no_successor_tables(repair):
     # the parse-time checks read ``trans``: the ``delta`` rows are built

@@ -28,6 +28,11 @@ def product_of(pf):
                                  S.complete(pf.supervisor.automaton))
 
 
+def b_pairs(prod):
+    """The dual-marked product's unmarked states, its B-marked pairs."""
+    return frozenset(range(prod.n_states)) - prod.marked
+
+
 def naive_dpll(clauses, num_vars):
     """Tiny independent solver used to cross-check DIMACS exports."""
     def go(assignment):
@@ -130,10 +135,10 @@ def test_separation_structure_no_b_marks():
     g = S.PartialDFA(alph, ("q0",), {(0, "a"): 0})
     s = S.PartialDFA(alph, ("x0",), {(0, "a"): 0})
     prod = S.dual_marked_product(S.complete(g), S.complete(s))
-    assert prod.mark_b == frozenset()
+    assert b_pairs(prod) == frozenset()
     vt = grown_table(1, alph, S.ControlConstraint(frozenset("a"),
                                                   frozenset("a")),
-                     prod.mark_a)
+                     prod.marked)
     # the dump row holds no A-marked state: a constant, not a unit clause
     assert vt.reach_var(S.DUMP, prod.initial) is False
     r0 = vt.reach_var(0, prod.initial)
@@ -150,8 +155,8 @@ def test_separation_leaves_out_what_the_marking_units_decide(perf):
     # r variables on A-marked states, and with row 0 the initial unit is
     # their only unit clause on r that is not negative
     prod = product_of(perf)
-    assert prod.mark_a and prod.mark_b
-    vt = grown_table(2, prod.alphabet, perf.control, prod.mark_a)
+    assert prod.marked and b_pairs(prod)
+    vt = grown_table(2, prod.alphabet, perf.control, prod.marked)
     live_a = {v for *_, v in vt.iter_reach_vars()}
     tvars = {v for *_, v in vt.iter_trans_vars()}
     for k in (0, 1):
@@ -167,11 +172,11 @@ def test_separation_leaves_out_what_the_marking_units_decide(perf):
 
 def test_reach_vars_only_for_live_rows_on_a_marked_states(perf):
     prod = product_of(perf)
-    assert prod.mark_b
-    vt = grown_table(3, prod.alphabet, perf.control, prod.mark_a)
+    assert b_pairs(prod)
+    vt = grown_table(3, prod.alphabet, perf.control, prod.marked)
     # no dump-row or B-marked pair is allocated
     pairs = [(i, y) for i, y, _ in vt.iter_reach_vars()]
-    assert pairs == [(i, y) for i in range(3) for y in sorted(prod.mark_a)]
+    assert pairs == [(i, y) for i in range(3) for y in sorted(prod.marked)]
     assert [v for *_, v in vt.iter_reach_vars()] == \
         [vt.reach_var(i, y) for i, y in pairs]
     # num_vars is t + r + p + c, and every variable is allocated once
@@ -183,16 +188,16 @@ def test_reach_vars_only_for_live_rows_on_a_marked_states(perf):
 
 def test_reach_var_constants(perf):
     prod = product_of(perf)
-    vt = grown_table(2, prod.alphabet, perf.control, prod.mark_a)
-    for y in prod.mark_b:
+    vt = grown_table(2, prod.alphabet, perf.control, prod.marked)
+    for y in b_pairs(prod):
         # false on a B-marked state at a live row, true at the dump row
         assert vt.reach_var(0, y) is False and vt.reach_var(1, y) is False
         assert vt.reach_var(S.DUMP, y) is True
-    for y in prod.mark_a:
+    for y in prod.marked:
         assert vt.reach_var(S.DUMP, y) is False
         assert type(vt.reach_var(1, y)) is int
     with pytest.raises(S.AutomatonError):
-        vt.reach_var(2, min(prod.mark_a))
+        vt.reach_var(2, min(prod.marked))
 
 
 def test_single_state_fixture_solution(single):
@@ -431,7 +436,7 @@ def explicit_encoding_agrees(sup_trans):
     names = tuple(f"x{x}" for x in range(1 + max(sup_trans.values())))
     sup_aut = S.PartialDFA(alph, names, sup_trans)
     prod = S.dual_marked_product(S.complete(plant), S.complete(sup_aut))
-    assert bool(prod.mark_b) == (len(names) > 1)
+    assert bool(b_pairs(prod)) == (len(names) > 1)
     n = 2
     cnf, vt = S.encode(n, prod, constraint)
     # the groups that fold constants, without the symmetry-breaking
@@ -500,9 +505,9 @@ def explicit_encoding_agrees(sup_trans):
                         continue
                     clauses.append([-r_of[(i, y1)], -explicit[(i, e, j)],
                                     r_of[(j, y2)]])
-    for y in prod.mark_a:
+    for y in prod.marked:
         clauses.append([-r_of[(n, y)]])
-    for y in prod.mark_b:
+    for y in b_pairs(prod):
         for i in range(n):
             clauses.append([-r_of[(i, y)]])
 
@@ -515,14 +520,14 @@ def explicit_encoding_agrees(sup_trans):
     shared_exp = [explicit[(i, "a", j)] for i in range(n) for j in range(n + 1)]
     # project to the t-variables plus the r-variables of the live rows on
     # A-marked states, the only ones the table allocates
-    live_a = [(i, y) for i in range(n) for y in sorted(prod.mark_a)]
+    live_a = [(i, y) for i in range(n) for y in sorted(prod.marked)]
     proj_opt = shared_opt + [vt.reach_var(i, y) for i, y in live_a]
     proj_exp = shared_exp + [r_of[pair] for pair in live_a]
     models_opt = count_models(folded, cnf.num_vars, proj_opt)
     models_exp = count_models(clauses, nxt - 1, proj_exp)
     assert len(models_opt) == len(models_exp)
     # the true constants extend every explicit model
-    assert count_models(clauses + [[r_of[(n, y)]] for y in prod.mark_b],
+    assert count_models(clauses + [[r_of[(n, y)]] for y in b_pairs(prod)],
                         nxt - 1, proj_exp) == models_exp
 
     def rename(models, tvars, rvars):
@@ -624,7 +629,7 @@ def test_dimacs_round_trip_and_external_solve(tri):
     assert "\nc r -1 " not in text
     assert [l for l in text.splitlines() if l.startswith("c r ")] == \
         [f"c r {i} {y} = {v}" for i, y, v in vt.iter_reach_vars()]
-    assert len(prod.mark_a) < prod.n_states
+    assert len(prod.marked) < prod.n_states
     # the capacity of size 2 is asserted, so every model has two rows
     assert text.endswith(f"\n{vt.capacity_var(2)} 0\n")
     parsed = S.parse_dimacs(text)
@@ -678,7 +683,7 @@ def test_capacity_literals_restrict_the_size(tri):
     # that holds the earlier ones, the newest capacity literal selects the
     # size, and the retired ones admit no model
     prod = product_of(tri)
-    vt = VarTable(prod.alphabet, tri.control, prod.mark_a)
+    vt = VarTable(prod.alphabet, tri.control, prod.marked)
     backend, grown, answers = None, [], []
     for n in (1, 2, 3):
         cnf, same = S.encode(n, prod, tri.control, vt)

@@ -94,3 +94,31 @@ def test_obfuscate_decodes_blocks_and_keys_each_model_once(monkeypatch, atk):
     assert calls["obfuscate.decode_model"] == models
     assert calls["obfuscate.blocking_clause"] == models
     assert calls["obfuscate.canonical_key"] == models
+
+
+def test_the_benchmark_recorder_calls_still_answer(example1):
+    # ``perfbench/record.py`` records a workload's pool through these
+    # calls and reads these fields of their results; a renamed function,
+    # argument or field would break the recorder, which no other test runs
+    pf = example1
+    product = S.dual_marked_product(S.complete(pf.plant),
+                                    S.complete(pf.supervisor.automaton))
+    assert product.n_states == 9
+    gp = S.generalized_product(pf.plant, S.annotate_supervisor(pf.supervisor),
+                               pf.damage, pf.attack)
+    assert gp.n_states == 7
+    verdict = S.non_attackable(pf.plant, pf.supervisor, pf.damage, pf.attack,
+                               validate=True)
+    assert len(verdict.subset_automaton.subsets) == 6
+    result = S.obfuscate(S.ObfuscationRequest(
+        pf.plant, pf.supervisor, pf.control, pf.attack, pf.damage))
+    assert [(r.n, r.candidates) for r in result.trace] == [(1, 1)]
+    assert result.solver_stats["models"] == 1
+    assert result.supervisor.n_states == 1
+    # the oracle and the constraint check, on the input's supervisor and
+    # on the returned one
+    for sup, attackable in ((pf.supervisor, True), (result.supervisor, False)):
+        oracle = S.attackable_by_search(pf.plant, sup, pf.damage, pf.attack,
+                                        12, 50_000)
+        assert oracle.conclusive and oracle.attackable == attackable
+        assert S.check_supervisor(sup.automaton, pf.control) == []

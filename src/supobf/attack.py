@@ -75,7 +75,11 @@ class GPAutomaton:
 
 def generalized_product(g: PartialDFA, sa: AnnotatedSupervisor,
                         h: PartialDFA, ac: AttackConstraint) -> GPAutomaton:
-    """Reachable part of the three-way product with attack verdicts."""
+    """Reachable part of the three-way product with attack verdicts.
+
+    A flat breadth-first loop that numbers the cores and inserts the moves
+    of ``trans`` exactly as :func:`explore` would, and records each core's
+    attack verdicts as it leaves the queue."""
     sup = sa.supervisor
     if g.alphabet.events != h.alphabet.events or \
             g.alphabet.events != sup.automaton.alphabet.events:
@@ -90,27 +94,37 @@ def generalized_product(g: PartialDFA, sa: AnnotatedSupervisor,
     seen = {ev: ev if ev in ac.attacker_observable else None
             for ev in sup.constraint.observable}
     commands = sa.commands
-    g_rows, x_rows, h_rows = g.delta, sup.automaton.delta, h.delta
-
-    def successors(core):
-        q, x, z = core
-        x_row, h_row = x_rows[x], h_rows[z]
-        out = []
-        for ev, q2 in g_rows[q].items():
-            x2 = x_row.get(ev)
-            if x2 is None:
-                continue
-            key = (ev, (seen[ev], commands[x2]) if ev in seen else None)
-            out.append((key, (q2, x2, h_row[ev])))
-        return out
-
-    order, trans = explore((g.initial, sup.automaton.initial, h.initial),
-                           successors)
+    g_rows, h_rows, marked = g.delta, h.delta, h.marked
     attack_events = tuple(e for e in g.alphabet.events if e in ac.attackable)
-    attack = {(src, ev): h_rows[z][ev] in h.marked
-              for src, (q, x, z) in enumerate(order)
-              for ev in attack_events
-              if ev in g_rows[q] and ev not in x_rows[x]}
+    # per supervisor state: each defined event's target and edge label,
+    # and the attack events it disables
+    x_moves = [{ev: (x2, (ev, (seen[ev], commands[x2]) if ev in seen
+                          else None))
+                for ev, x2 in row.items()} for row in sup.automaton.delta]
+    disabled = [[ev for ev in attack_events if ev not in row]
+                for row in sup.automaton.delta]
+
+    # ``order`` grows while it is walked, which makes it the queue
+    start = (g.initial, sup.automaton.initial, h.initial)
+    index = {start: 0}
+    order = [start]
+    trans = {}
+    attack = {}
+    for src, (q, x, z) in enumerate(order):
+        g_row, h_row, moves = g_rows[q], h_rows[z], x_moves[x]
+        for ev, q2 in g_row.items():
+            move = moves.get(ev)
+            if move is None:
+                continue
+            target = (q2, move[0], h_row[ev])
+            dst = index.get(target)
+            if dst is None:
+                dst = index[target] = len(order)
+                order.append(target)
+            trans[(src, move[1])] = dst
+        for ev in disabled[x]:
+            if ev in g_row:
+                attack[(src, ev)] = h_row[ev] in marked
     return GPAutomaton(tuple(order), trans, attack, attack_events,
                        (g.names, sup.automaton.names, h.names))
 

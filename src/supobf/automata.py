@@ -191,7 +191,10 @@ def explore(start: Hashable,
     ``trans[(i, label)] = j`` for every pair yielded at ``order[i]``, with
     ``order[j]`` its target, inserted in the order the pairs were yielded.
     Products, subset automata and their renderings all inherit their
-    numbering from this order.
+    numbering from this order.  The check path's two walks,
+    ``validate_damage`` and ``generalized_product``, write this loop out
+    flat, in the same order: the callbacks and per-state lists of pairs
+    cost them about a third of their time.
 
     ``stop``, when given, is called once on every state in discovery
     order: on ``start``, then on each new target right after the edge that

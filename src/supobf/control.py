@@ -143,8 +143,10 @@ def validate_damage(h: PartialDFA, g: PartialDFA, s: Supervisor) -> DamageReport
     closed-loop string reaches a marked state of ``h``.  The witness is
     the first such string in shortlex order over ``h``'s alphabet, found
     by a breadth-first walk over the (plant, supervisor, damage) triples,
-    so the closed loop is never built.  A check that passes raises last
-    if ``h``'s alphabet is not the plant's.
+    so the closed loop is never built.  The walk is :func:`explore`'s,
+    written out as a flat loop in the same order, and it keeps only each
+    triple's discovering edge, all that :func:`path_labels` reads.  A
+    check that passes raises last if ``h``'s alphabet is not the plant's.
     """
     sup = s.automaton
     if g.alphabet.events != sup.alphabet.events:
@@ -153,24 +155,28 @@ def validate_damage(h: PartialDFA, g: PartialDFA, s: Supervisor) -> DamageReport
         raise AutomatonError("damage automaton needs an explicit marked set")
     if not is_total(h):
         return DamageReport("damage automaton is not total")
-    g_rows, x_rows, h_rows = g.delta, sup.delta, h.delta
-
-    def successors(core):
-        q, x, z = core
+    g_rows, x_rows, h_rows, marked = g.delta, sup.delta, h.delta, h.marked
+    # ``order`` grows while it is walked, which makes it the queue; the
+    # first marked triple taken off it is the first one discovered
+    order = [(g.initial, sup.initial, h.initial)]
+    seen = set(order)
+    trans = {}
+    for src, (q, x, z) in enumerate(order):
+        if z in marked:
+            return DamageReport("closed loop reaches a damage string",
+                                path_labels(trans, src))
         g_row, x_row = g_rows[q], x_rows[x]
-        return [(ev, (q2, x2, z2)) for ev, z2 in h_rows[z].items()
-                if (q2 := g_row.get(ev)) is not None
-                and (x2 := x_row.get(ev)) is not None]
-
-    order, trans = explore((g.initial, sup.initial, h.initial), successors,
-                           stop=lambda core: core[2] in h.marked)
-    if order[-1][2] not in h.marked:
-        if h.alphabet.events != g.alphabet.events:
-            raise AutomatonError(
-                "plant, supervisor and damage must share an alphabet")
-        return DamageReport()
-    return DamageReport("closed loop reaches a damage string",
-                        path_labels(trans, len(order) - 1))
+        for ev, z2 in h_rows[z].items():
+            if (q2 := g_row.get(ev)) is None or (x2 := x_row.get(ev)) is None:
+                continue
+            if (core := (q2, x2, z2)) not in seen:
+                seen.add(core)
+                trans[(src, ev)] = len(order)
+                order.append(core)
+    if h.alphabet.events != g.alphabet.events:
+        raise AutomatonError(
+            "plant, supervisor and damage must share an alphabet")
+    return DamageReport()
 
 
 def stray_damage_string(h: PartialDFA,

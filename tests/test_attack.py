@@ -11,6 +11,7 @@ import pytest
 import supobf as S
 from supobf.attack import (annotate_supervisor, determinize_and_label,
                            generalized_product, project_attacker_view)
+from supobf.automata import explore
 from supobf.problemfile import ProblemFile, emit_problem
 from conftest import (load_fixture, random_attack_instance,
                       random_damaged_instance)
@@ -74,6 +75,61 @@ def test_generalized_product_enabled_attack_event_has_no_verdict():
     gp = generalized_product(plant, annotate_supervisor(sup), damage,
                              S.AttackConstraint(frozenset("k"), frozenset("k")))
     assert gp.attack == {}
+
+
+def explored_generalized_product(g, sa, h, ac):
+    """The generalized product as a successor function passed to
+    ``explore``, with the attack verdicts filled in a second pass: the
+    reference for the numbering and insertion order of the flat loop."""
+    sup = sa.supervisor
+    seen = {ev: ev if ev in ac.attacker_observable else None
+            for ev in sup.constraint.observable}
+    g_rows, x_rows, h_rows = g.delta, sup.automaton.delta, h.delta
+
+    def successors(core):
+        q, x, z = core
+        x_row, h_row = x_rows[x], h_rows[z]
+        out = []
+        for ev, q2 in g_rows[q].items():
+            x2 = x_row.get(ev)
+            if x2 is None:
+                continue
+            key = (ev, (seen[ev], sa.commands[x2]) if ev in seen else None)
+            out.append((key, (q2, x2, h_row[ev])))
+        return out
+
+    order, trans = explore((g.initial, sup.automaton.initial, h.initial),
+                           successors)
+    attack_events = tuple(e for e in g.alphabet.events if e in ac.attackable)
+    attack = {(src, ev): h_rows[z][ev] in h.marked
+              for src, (q, x, z) in enumerate(order)
+              for ev in attack_events
+              if ev in g_rows[q] and ev not in x_rows[x]}
+    return order, trans, attack
+
+
+def test_generalized_product_numbers_as_explore_does():
+    # subset indices, witnesses and the ``check --dot`` labels all rest on
+    # the cores' numbering and on the insertion order of the moves
+    fixtures = [load_fixture(name) for name in
+                ("atk", "example1", "example1_obfuscated", "perf", "single",
+                 "tri")]
+    instances = [(pf.plant, pf.supervisor, pf.damage, pf.attack)
+                 for pf in fixtures]
+    rng = random.Random(6161)
+    instances += [random_damaged_instance(rng, max_states=5)
+                  for _ in range(200)]
+    verdicts = 0
+    for plant, sup, damage, attack in instances:
+        sa = annotate_supervisor(sup)
+        gp = generalized_product(plant, sa, damage, attack)
+        order, trans, verdict = explored_generalized_product(plant, sa,
+                                                              damage, attack)
+        assert gp.cores == tuple(order)
+        assert list(gp.trans.items()) == list(trans.items())
+        assert list(gp.attack.items()) == list(verdict.items())
+        verdicts += len(verdict)
+    assert verdicts >= 100
 
 
 def test_generalized_product_requires_total_marked_damage(atk):

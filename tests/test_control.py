@@ -128,25 +128,47 @@ def test_validate_damage_epsilon_marked_fails(atk):
     assert not report.ok and report.witness == ()
 
 
+def reaches_damage(h: S.PartialDFA, g: S.PartialDFA, sup: S.Supervisor):
+    """Whether a breadth-first walk over the (plant, supervisor, damage)
+    triples, read through ``step``, reaches a marked damage state."""
+    start = (g.initial, sup.automaton.initial, h.initial)
+    seen, queue = {start}, [start]
+    for q, x, z in queue:
+        if h.is_marked(z):
+            return True
+        for ev in g.alphabet.events:
+            q2, x2 = g.step(q, ev), sup.automaton.step(x, ev)
+            if q2 is not None and x2 is not None:
+                core = (q2, x2, h.step(z, ev))
+                if core not in seen:
+                    seen.add(core)
+                    queue.append(core)
+    return False
+
+
 def test_validate_damage_witness_is_the_first_in_shortlex_order():
     # the damage string reported is the first closed-loop string marked
-    # by the damage automaton, by length, then alphabet index
+    # by the damage automaton, by length, then alphabet index; a check
+    # that passes leaves no marked damage state reachable
     rng = random.Random(9090)
-    checked = 0
+    checked = passed = 0
     for _ in range(300):
         alph, c, _ = random_alphabet(rng)
         g = random_plant(rng, alph)
         sup = S.Supervisor(random_supervisor_automaton(rng, alph, c), c)
         h = random_damage(rng, alph)
-        w = S.validate_damage(h, g, sup).witness
-        if not w:
+        report = S.validate_damage(h, g, sup)
+        if report.ok:
+            assert not reaches_damage(h, g, sup)
+            passed += 1
             continue
+        w = report.witness
         loop = S.closed_loop(g, sup)
         damaging = {s for s in strings_upto(loop, len(w))
                     if h.is_marked(h.run(s))}
         assert min(damaging, key=shortlex(alph)) == w
         checked += 1
-    assert checked >= 40
+    assert checked >= 40 and passed >= 40
 
 
 def test_validate_damage_requires_marking_and_totality(atk):

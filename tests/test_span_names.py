@@ -52,6 +52,10 @@ def test_verify_calls_every_traced_name(monkeypatch, example1):
     assert set(calls) == {f"attack.{name}" for name in ATTACK_NAMES}
     # the damage check is one call, the whole of ``control.validate``
     assert calls["attack.validate_damage"] == 1
+    # the product and the view are one call each, so no walk of theirs
+    # runs outside ``attack.gp`` and ``attack.view``
+    assert calls["attack.generalized_product"] == 1
+    assert calls["attack.project_attacker_view"] == 1
 
 
 def test_obfuscate_calls_every_traced_name(monkeypatch, example1):

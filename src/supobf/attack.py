@@ -3,10 +3,10 @@
 Pipeline: annotate the supervisor with the control command issued after
 each observable transition, build the generalized product of plant,
 annotated supervisor and damage automaton (with success/failure verdict
-sinks for attack moves), project events down to what the attacker sees,
-determinize with epsilon closure, and label each knowledge set with the
-attack events that are guaranteed to succeed from it.  The verdict stops
-the determinization at the first labelled knowledge set.
+sinks for attack moves) that records each move as the attacker sees it,
+determinize that view with epsilon closure, and label each knowledge set
+with the attack events that are guaranteed to succeed from it.  The
+verdict stops the determinization at the first labelled knowledge set.
 
 The attacker sees a pair per supervisor-observable event: the event itself
 when it is attacker-observable (else an epsilon placeholder) and the fresh
@@ -44,20 +44,29 @@ def annotate_supervisor(s: Supervisor) -> AnnotatedSupervisor:
 
 
 @dataclass(frozen=True)
+class AttackerView:
+    """The generalized product's moves as the attacker sees them: bare
+    supervisor-unobservable moves are epsilon moves, observable ones keep
+    their (seen event, command) pair and may turn nondeterministic.
+    Successor lists keep the order in which the product found its moves
+    and may repeat a state; the subset construction reads them as sets."""
+
+    eps: dict          # state -> list of epsilon successors
+    moves: dict        # state -> {ObsEvent: list of successors}
+
+
+@dataclass(frozen=True)
 class GPAutomaton:
     """Generalized product over core states (plant, supervisor, damage),
     numbered breadth-first from the initial core 0.
 
-    ``trans`` holds the closed-loop moves keyed by (core, (event, view))
-    where view is the attacker observation (an :data:`ObsEvent`) or None
-    for supervisor-unobservable events.  ``attack`` records, per (core,
-    attackable event) with the event plant-possible and supervisor-
-    disabled, whether firing it inflicts damage (success sink) or not
-    (failure sink).
-    """
+    ``view`` holds the closed-loop moves as the attacker sees them.
+    ``attack`` records, per (core, attackable event) with the event
+    plant-possible and supervisor-disabled, whether firing it inflicts
+    damage (success sink) or not (failure sink)."""
 
     cores: tuple[tuple[int, int, int], ...]
-    trans: dict
+    view: AttackerView
     attack: dict       # (core, event) -> bool (True = success)
     attack_events: tuple[str, ...]
     component_names: tuple     # plant, supervisor and damage state names
@@ -77,9 +86,9 @@ def generalized_product(g: PartialDFA, sa: AnnotatedSupervisor,
                         h: PartialDFA, ac: AttackConstraint) -> GPAutomaton:
     """Reachable part of the three-way product with attack verdicts.
 
-    A flat breadth-first loop that numbers the cores and inserts the moves
-    of ``trans`` exactly as :func:`explore` would, and records each core's
-    attack verdicts as it leaves the queue."""
+    A flat breadth-first loop that numbers the cores as :func:`explore`
+    would, appends each move to the attacker view as it finds it, and
+    records each core's attack verdicts as it leaves the queue."""
     sup = sa.supervisor
     if g.alphabet.events != h.alphabet.events or \
             g.alphabet.events != sup.automaton.alphabet.events:
@@ -96,10 +105,8 @@ def generalized_product(g: PartialDFA, sa: AnnotatedSupervisor,
     commands = sa.commands
     g_rows, h_rows, marked = g.delta, h.delta, h.marked
     attack_events = tuple(e for e in g.alphabet.events if e in ac.attackable)
-    # per supervisor state: each defined event's target and edge label,
-    # and the attack events it disables
-    x_moves = [{ev: (x2, (ev, (seen[ev], commands[x2]) if ev in seen
-                          else None))
+    # per supervisor state: event -> (target, observation or None for epsilon)
+    x_moves = [{ev: (x2, (seen[ev], commands[x2]) if ev in seen else None)
                 for ev, x2 in row.items()} for row in sup.automaton.delta]
     disabled = [[ev for ev in attack_events if ev not in row]
                 for row in sup.automaton.delta]
@@ -108,12 +115,11 @@ def generalized_product(g: PartialDFA, sa: AnnotatedSupervisor,
     start = (g.initial, sup.automaton.initial, h.initial)
     index = {start: 0}
     order = [start]
-    trans = {}
-    attack = {}
+    eps, moves, attack = {}, {}, {}
     for src, (q, x, z) in enumerate(order):
-        g_row, h_row, moves = g_rows[q], h_rows[z], x_moves[x]
+        g_row, h_row, x_row = g_rows[q], h_rows[z], x_moves[x]
         for ev, q2 in g_row.items():
-            move = moves.get(ev)
+            move = x_row.get(ev)
             if move is None:
                 continue
             target = (q2, move[0], h_row[ev])
@@ -121,36 +127,21 @@ def generalized_product(g: PartialDFA, sa: AnnotatedSupervisor,
             if dst is None:
                 dst = index[target] = len(order)
                 order.append(target)
-            trans[(src, move[1])] = dst
+            if move[1] is None:
+                eps.setdefault(src, []).append(dst)
+            else:
+                moves.setdefault(src, {}).setdefault(move[1], []).append(dst)
         for ev in disabled[x]:
             if ev in g_row:
                 attack[(src, ev)] = h_row[ev] in marked
-    return GPAutomaton(tuple(order), trans, attack, attack_events,
-                       (g.names, sup.automaton.names, h.names))
-
-
-@dataclass(frozen=True)
-class AttackerView:
-    """The product with events projected to attacker observations: bare
-    supervisor-unobservable moves become epsilon transitions, observable
-    ones keep their (seen event, command) pair and may turn
-    nondeterministic.  Successor lists keep the order in which the
-    product recorded its moves and may repeat a state; the subset
-    construction reads them as sets."""
-
-    eps: dict          # state -> list of epsilon successors
-    moves: dict        # state -> {ObsEvent: list of successors}
+    return GPAutomaton(tuple(order), AttackerView(eps, moves), attack,
+                       attack_events, (g.names, sup.automaton.names, h.names))
 
 
 def project_attacker_view(gp: GPAutomaton) -> AttackerView:
-    eps: dict[int, list[int]] = {}
-    moves: dict[int, dict[ObsEvent, list[int]]] = {}
-    for (src, (ev, view)), dst in gp.trans.items():
-        if view is None:
-            eps.setdefault(src, []).append(dst)
-        else:
-            moves.setdefault(src, {}).setdefault(view, []).append(dst)
-    return AttackerView(eps, moves)
+    """The view :func:`generalized_product` recorded; the call stays for
+    the tracer's ``attack.view`` span and ``tests/test_span_names.py``."""
+    return gp.view
 
 
 @dataclass(frozen=True)

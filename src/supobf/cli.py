@@ -17,7 +17,8 @@ from .automata import complete, dual_marked_product, is_total, to_dot
 from .attack import (attackable_by_search, determinize_and_label,
                      non_attackable, project_attacker_view, subset_to_dot)
 from .control import closed_loop, stray_damage_string, validate_damage
-from .obfuscate import ObfuscationRequest, enumerate_instance, obfuscate
+from .obfuscate import (ObfuscationRequest, check_enumeration_limit,
+                        enumerate_instance, obfuscate)
 from .problemfile import (ProblemFile, emit_automaton_section, emit_problem,
                           load_problem, with_supervisor)
 from .satenc import encode, export_dimacs
@@ -95,10 +96,10 @@ def cmd_check(args) -> int:
 
 def cmd_synth_bp(args) -> int:
     pf = _load(args)
+    check_enumeration_limit(args.limit)
     product = dual_marked_product(complete(pf.plant),
                                   complete(pf.supervisor.automaton))
     cnf, vt = encode(args.n, product, pf.control)
-    # enumerate first: an input error then leaves no DIMACS file behind
     sups, truncated = enumerate_instance(cnf, vt, args.limit)
     if args.dimacs:
         with open(args.dimacs, "w", encoding="utf-8") as fh:

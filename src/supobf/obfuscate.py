@@ -77,6 +77,12 @@ class ObfuscationResult:
         return self.solver_stats["models"]
 
 
+def check_enumeration_limit(limit: Optional[int]) -> None:
+    """Reject a cap on models per size below 1, before any work."""
+    if limit is not None and limit < 1:
+        raise ValueError("the enumeration limit must be at least 1")
+
+
 def iter_size_candidates(backend: SatSolver, vt: VarTable,
                          limit: Optional[int] = None
                          ) -> Iterator[tuple[tuple, PartialDFA]]:
@@ -89,11 +95,9 @@ def iter_size_candidates(backend: SatSolver, vt: VarTable,
     one candidate: its rows are all reachable, in canonical order, so
     :func:`decode_model` reads it as states ``s0..s{n-1}`` and
     :func:`blocking_clause` blocks that supervisor before re-solving.
-    ``limit`` caps the models taken from the solver and must be at least
-    1; the enumeration counts as truncated when it yields ``limit``.
+    ``limit`` caps the models taken (callers check it with
+    :func:`check_enumeration_limit`); the enumeration is truncated at it.
     """
-    if limit is not None and limit < 1:
-        raise ValueError("the enumeration limit must be at least 1")
     assumptions = [vt.capacity_var(vt.n)]
     count = 0
     while (limit is None or count < limit) and backend.solve(assumptions):
@@ -109,6 +113,7 @@ def behavior_preserving_supervisors(plant: PartialDFA, sup_aut: PartialDFA,
     """All behavior-preserving supervisors of exact reachable size ``n``,
     one per isomorphism class, canonically sorted; returns (supervisors,
     truncated)."""
+    check_enumeration_limit(limit)
     product = dual_marked_product(complete(plant), complete(sup_aut))
     return enumerate_instance(*encode(n, product, constraint), limit)
 
@@ -138,6 +143,7 @@ def obfuscate(req: ObfuscationRequest,
     n_max = req.n_max if req.n_max is not None else len(reachable_states(sup_aut))
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
+    check_enumeration_limit(req.enumeration_limit)
 
     product = dual_marked_product(complete(plant), complete(sup_aut))
     trace: list[SizeTrace] = []

@@ -47,6 +47,13 @@ def perf():
 # brute-force language helpers (string level, independent of the product
 # constructions under test)
 
+def view_items(eps, moves):
+    """An attacker view's successor lists in insertion order, at every
+    level, for comparing views exactly."""
+    return (list(eps.items()),
+            [(src, list(out.items())) for src, out in moves.items()])
+
+
 def strings_upto(aut: S.PartialDFA, maxlen: int) -> set[tuple[str, ...]]:
     """All strings of L(aut) with length <= maxlen, by tree walk."""
     out = {()}

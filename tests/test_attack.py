@@ -14,7 +14,7 @@ from supobf.attack import (annotate_supervisor, determinize_and_label,
 from supobf.automata import explore
 from supobf.problemfile import ProblemFile, emit_problem
 from conftest import (load_fixture, random_attack_instance,
-                      random_damaged_instance)
+                      random_damaged_instance, view_items)
 
 
 def permute_states(aut: S.PartialDFA, perm: list[int]) -> S.PartialDFA:
@@ -79,8 +79,9 @@ def test_generalized_product_enabled_attack_event_has_no_verdict():
 
 def explored_generalized_product(g, sa, h, ac):
     """The generalized product as a successor function passed to
-    ``explore``, with the attack verdicts filled in a second pass: the
-    reference for the numbering and insertion order of the flat loop."""
+    ``explore``, with the moves projected to the attacker view and the
+    attack verdicts filled in second passes: the reference for the
+    numbering and the view's insertion order of the flat loop."""
     sup = sa.supervisor
     seen = {ev: ev if ev in ac.attacker_observable else None
             for ev in sup.constraint.observable}
@@ -100,17 +101,23 @@ def explored_generalized_product(g, sa, h, ac):
 
     order, trans = explore((g.initial, sup.automaton.initial, h.initial),
                            successors)
+    eps, moves = {}, {}
+    for (src, (ev, obs)), dst in trans.items():
+        if obs is None:
+            eps.setdefault(src, []).append(dst)
+        else:
+            moves.setdefault(src, {}).setdefault(obs, []).append(dst)
     attack_events = tuple(e for e in g.alphabet.events if e in ac.attackable)
     attack = {(src, ev): h_rows[z][ev] in h.marked
               for src, (q, x, z) in enumerate(order)
               for ev in attack_events
               if ev in g_rows[q] and ev not in x_rows[x]}
-    return order, trans, attack
+    return order, (eps, moves), attack
 
 
 def test_generalized_product_numbers_as_explore_does():
     # subset indices, witnesses and the ``check --dot`` labels all rest on
-    # the cores' numbering and on the insertion order of the moves
+    # the cores' numbering and on the insertion order of the view
     fixtures = [load_fixture(name) for name in
                 ("atk", "example1", "example1_obfuscated", "perf", "single",
                  "tri")]
@@ -123,10 +130,10 @@ def test_generalized_product_numbers_as_explore_does():
     for plant, sup, damage, attack in instances:
         sa = annotate_supervisor(sup)
         gp = generalized_product(plant, sa, damage, attack)
-        order, trans, verdict = explored_generalized_product(plant, sa,
-                                                              damage, attack)
+        order, view, verdict = explored_generalized_product(plant, sa,
+                                                             damage, attack)
         assert gp.cores == tuple(order)
-        assert list(gp.trans.items()) == list(trans.items())
+        assert view_items(gp.view.eps, gp.view.moves) == view_items(*view)
         assert list(gp.attack.items()) == list(verdict.items())
         verdicts += len(verdict)
     assert verdicts >= 100

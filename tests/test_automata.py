@@ -7,7 +7,7 @@ import supobf as S
 from supobf.automata import explore
 from conftest import (marked_strings_upto, random_alphabet, random_damage,
                       random_damaged_instance, random_plant, shortlex,
-                      strings_upto)
+                      strings_upto, view_items)
 
 
 def simple_alphabet(*events):
@@ -391,7 +391,7 @@ def test_products_do_not_depend_on_the_insertion_order_of_trans():
             views.append((
                 loop.names, list(loop.trans.items()), loop.marked,
                 dm.names, list(dm.trans.items()), dm.marked,
-                gp.names, gp.cores, list(gp.trans.items()),
+                gp.names, gp.cores, view_items(gp.view.eps, gp.view.moves),
                 list(gp.attack.items()), witness,
                 S.canonical_key(x), S.reachable_states(x)))
         assert views[0] == views[1]

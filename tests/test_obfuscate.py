@@ -4,9 +4,10 @@ import random
 import pytest
 
 import supobf as S
+import supobf.cli
 from supobf.obfuscate import iter_size_candidates
-from conftest import (all_supervisor_automata, grown_climb, load_fixture,
-                      random_attack_instance, strings_upto)
+from conftest import (FIXTURES, all_supervisor_automata, grown_climb,
+                      load_fixture, random_attack_instance, strings_upto)
 
 
 def exact_size_brute_force(plant, sup, constraint, n):
@@ -205,6 +206,25 @@ def test_limit_below_one_rejected(tri, perf):
                                    enumeration_limit=limit)
         with pytest.raises(ValueError):
             S.obfuscate(req)
+
+
+def test_limit_below_one_is_rejected_before_encoding(monkeypatch, tri, perf):
+    # the limit is checked before any instance is encoded, on the
+    # obfuscate path and on both synth-bp paths
+    def encode(*args, **kwargs):
+        raise AssertionError("encode called with a limit below 1")
+
+    for mod in (importlib.import_module("supobf.obfuscate"), supobf.cli):
+        monkeypatch.setattr(mod, "encode", encode)
+    req = S.ObfuscationRequest(perf.plant, perf.supervisor, perf.control,
+                               perf.attack, perf.damage, enumeration_limit=0)
+    with pytest.raises(ValueError, match="enumeration limit"):
+        S.obfuscate(req)
+    with pytest.raises(ValueError, match="enumeration limit"):
+        S.behavior_preserving_supervisors(
+            tri.plant, tri.supervisor.automaton, tri.control, 2, limit=0)
+    assert supobf.cli.main(["synth-bp", str(FIXTURES / "tri.prob"), "-n", "2",
+                            "--limit", "0"]) == 2
 
 
 def test_obfuscate_rejects_invalid_damage(atk):

@@ -100,6 +100,21 @@ def test_obfuscate_decodes_blocks_and_keys_each_model_once(monkeypatch, atk):
     assert calls["obfuscate.canonical_key"] == models
 
 
+def test_obfuscate_verifies_each_candidate_once(monkeypatch, atk):
+    # every model is one candidate, and each candidate runs one product,
+    # one view and one subset construction, so the attack layers time
+    # exactly the verifications the search makes
+    calls = count_calls(monkeypatch)
+    result = obfuscate_mod.obfuscate(S.ObfuscationRequest(
+        atk.plant, atk.supervisor, atk.control, atk.attack, atk.damage))
+    models = result.solver_stats["models"]
+    assert models == 10
+    for key in ("obfuscate.non_attackable", "attack.generalized_product",
+                "attack.project_attacker_view",
+                "attack.determinize_and_label"):
+        assert calls[key] == models, key
+
+
 def test_the_benchmark_recorder_calls_still_answer(example1):
     # ``perfbench/record.py`` records a workload's pool through these
     # calls and reads these fields of their results; a renamed function,

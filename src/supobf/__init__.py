@@ -6,10 +6,10 @@ minimum-state supervisor that preserves the closed-loop behavior while
 defeating every such attacker.
 """
 
-from .automata import (Alphabet, AutomatonError, CompleteDFA, PartialDFA,
-                       accepts, canonical_key, complete, dual_marked_product,
-                       is_total, language_equal, reachable_states,
-                       sync_product, to_dot, totalize)
+from .automata import (Alphabet, AutomatonError, PartialDFA, accepts,
+                       canonical_key, dual_marked_product, is_total,
+                       language_equal, reachable_states, sync_product, to_dot,
+                       totalize)
 from .control import (AttackConstraint, ControlConstraint, DamageReport,
                       Supervisor, Violation, check_supervisor, closed_loop,
                       control_command, stray_damage_string, validate_damage)

@@ -1,9 +1,9 @@
-"""Deterministic partial finite automata over one alphabet: completion,
-products, canonical forms.  Every automaton is a :class:`PartialDFA`,
-the dual-marked product too, marked on its A-pairs; a
-:class:`CompleteDFA` holds one whose completeness it checks.  Walks
-read the per-state ``delta`` rows; ``step`` stays for the reference
-checks the tests compare them against.
+"""Deterministic partial finite automata over one alphabet: products,
+canonical forms.  Every automaton is a :class:`PartialDFA`, the
+dual-marked product too, which reads the plant and the supervisor as
+given and is marked on its A-pairs.  Walks read the per-state ``delta``
+rows; ``step`` stays for the reference checks the tests compare them
+against.
 
 All values are immutable after construction; functions return fresh
 automata and never mutate their inputs.
@@ -117,51 +117,6 @@ class PartialDFA:
         return self.marked is None or state in self.marked
 
 
-@dataclass(frozen=True)
-class CompleteDFA:
-    """Completion of a partial automaton: a total map plus an absorbing,
-    non-marked dump state.  The marked language equals the closed language
-    of the original automaton."""
-
-    inner: PartialDFA
-    dump: int
-
-    def __post_init__(self):
-        p = self.inner
-        if not is_total(p):
-            raise AutomatonError("completion is not total")
-        for ev in p.alphabet.events:
-            if p.trans[(self.dump, ev)] != self.dump:
-                raise AutomatonError("dump state is not absorbing")
-        if p.marked != frozenset(range(p.n_states)) - {self.dump}:
-            raise AutomatonError("completion must mark exactly the non-dump states")
-
-    @property
-    def alphabet(self) -> Alphabet:
-        return self.inner.alphabet
-
-
-def _with_absorbing_state(p: PartialDFA, name: str,
-                          marked: frozenset[int]) -> PartialDFA:
-    """Append an absorbing state ``name`` that every undefined transition
-    of ``p`` is redirected to, with ``marked`` as the marked set."""
-    n = p.n_states
-    trans = dict(p.trans)
-    for q in range(n):
-        for ev in p.alphabet.events:
-            trans.setdefault((q, ev), n)
-    for ev in p.alphabet.events:
-        trans[(n, ev)] = n
-    return PartialDFA(p.alphabet, p.names + (name,), trans, p.initial, marked)
-
-
-def complete(p: PartialDFA) -> CompleteDFA:
-    """Add an absorbing dump state and redirect every undefined transition
-    to it; the original states become the marked set."""
-    inner = _with_absorbing_state(p, "dump", frozenset(range(p.n_states)))
-    return CompleteDFA(inner, p.n_states)
-
-
 def totalize(p: PartialDFA) -> PartialDFA:
     """Make the transition map total by adding a non-marked absorbing sink,
     named ``sink`` (primed until the name is free), preserving the original
@@ -171,8 +126,17 @@ def totalize(p: PartialDFA) -> PartialDFA:
     sink_name = "sink"
     while sink_name in p.names:
         sink_name += "'"
-    marked = p.marked if p.marked is not None else range(p.n_states)
-    return _with_absorbing_state(p, sink_name, frozenset(marked))
+    n = p.n_states
+    marked = p.marked if p.marked is not None else range(n)
+    # every undefined move of ``p`` goes to the sink, state ``n``
+    trans = dict(p.trans)
+    for q in range(n):
+        for ev in p.alphabet.events:
+            trans.setdefault((q, ev), n)
+    for ev in p.alphabet.events:
+        trans[(n, ev)] = n
+    return PartialDFA(p.alphabet, p.names + (sink_name,), trans, p.initial,
+                      frozenset(marked))
 
 
 def is_total(p: PartialDFA) -> bool:
@@ -263,30 +227,31 @@ def sync_product(a: PartialDFA, b: PartialDFA) -> PartialDFA:
     return PartialDFA(a.alphabet, names, trans, 0, marked)
 
 
-def dual_marked_product(gbar: CompleteDFA, sbar: CompleteDFA) -> PartialDFA:
-    """Product of a completed plant and a completed supervisor over L(G),
-    marked on the pairs that witness the two languages to be separated.
-    It stops at the plant's dump: a separating supervisor may do anything
-    on the strings outside L(G).  So every pair has a live plant
-    component: the marked ones, the A-pairs, have a live supervisor
-    component, and the unmarked ones, the B-pairs, the supervisor's dump.
+def dual_marked_product(g: PartialDFA, s: PartialDFA) -> PartialDFA:
+    """Product of a plant ``g`` and a supervisor ``s`` over L(G), marked
+    on the pairs that witness the two languages to be separated.  It walks
+    the plant's moves only: a separating supervisor may do anything on the
+    strings outside L(G).  Where ``s`` has no move the pair goes to the
+    supervisor's dump, index ``s.n_states``, named ``dump``, which keeps
+    every move.  So the marked pairs, the A-pairs, reach the strings of
+    L(G)∩L(S), and the unmarked ones, the B-pairs, those of L(G)−L(S).
     Pairs are named ``(q,x)``, as :func:`sync_product` names them."""
-    if gbar.alphabet.events != sbar.alphabet.events:
+    if g.alphabet.events != s.alphabet.events:
         raise AutomatonError("operands must share an alphabet")
-    # both completions are total, so every row lists the whole alphabet
-    g, s = gbar.inner, sbar.inner
-    g_rows, s_rows, dump = g.delta, s.delta, gbar.dump
+    dump = s.n_states
+    # the dump's row is empty, so every event leads back to it
+    g_rows, s_rows = g.delta, s.delta + ({},)
 
     def successors(pair):
         s_row = s_rows[pair[1]]
-        return [(ev, (ng, s_row[ev])) for ev, ng in g_rows[pair[0]].items()
-                if ng != dump]
+        return [(ev, (ng, s_row.get(ev, dump)))
+                for ev, ng in g_rows[pair[0]].items()]
 
     order, trans = explore((g.initial, s.initial), successors)
-    names = tuple(f"({g.names[pg]},{s.names[ps]})" for pg, ps in order)
-    marked = frozenset(i for i, (_, ps) in enumerate(order)
-                       if ps != sbar.dump)
-    return PartialDFA(gbar.alphabet, names, trans, 0, marked)
+    s_names = s.names + ("dump",)
+    names = tuple(f"({g.names[pg]},{s_names[ps]})" for pg, ps in order)
+    marked = frozenset(i for i, (_, ps) in enumerate(order) if ps != dump)
+    return PartialDFA(g.alphabet, names, trans, 0, marked)
 
 
 def language_equal(a: PartialDFA, b: PartialDFA):
@@ -294,7 +259,7 @@ def language_equal(a: PartialDFA, b: PartialDFA):
 
     Returns ``(True, None)`` or ``(False, witness)`` where the witness is
     a shortest string in the symmetric difference (found by breadth-first
-    search over the product of the two completions).
+    search over the product of the two, ``None`` standing for each dump).
     """
     if a.alphabet.events != b.alphabet.events:
         raise AutomatonError("operands must share an alphabet")

@@ -13,7 +13,7 @@ import json
 import sys
 import time
 
-from .automata import complete, dual_marked_product, is_total, to_dot
+from .automata import dual_marked_product, is_total, to_dot
 from .attack import (attackable_by_search, determinize_and_label,
                      non_attackable, project_attacker_view, subset_to_dot)
 from .control import closed_loop, stray_damage_string, validate_damage
@@ -97,13 +97,13 @@ def cmd_check(args) -> int:
 def cmd_synth_bp(args) -> int:
     pf = _load(args)
     check_enumeration_limit(args.limit)
-    product = dual_marked_product(complete(pf.plant),
-                                  complete(pf.supervisor.automaton))
+    product = dual_marked_product(pf.plant, pf.supervisor.automaton)
     cnf, vt = encode(args.n, product, pf.control)
-    sups, truncated = enumerate_instance(cnf, vt, args.limit)
+    # the enumeration may run for long: the instance is written first
     if args.dimacs:
         with open(args.dimacs, "w", encoding="utf-8") as fh:
             fh.write(export_dimacs(cnf, vt))
+    sups, truncated = enumerate_instance(cnf, vt, args.limit)
     print(f"# {len(sups)} behavior-preserving supervisor(s) of size {args.n}"
           + (" (truncated)" if truncated else ""))
     for i, sup in enumerate(sups):

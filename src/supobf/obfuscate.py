@@ -28,8 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
-from .automata import (PartialDFA, canonical_key, complete,
-                       dual_marked_product, reachable_states)
+from .automata import (PartialDFA, canonical_key, dual_marked_product,
+                       reachable_states)
 from .control import (AttackConstraint, ControlConstraint, Supervisor,
                       validate_damage)
 from .attack import non_attackable
@@ -114,7 +114,7 @@ def behavior_preserving_supervisors(plant: PartialDFA, sup_aut: PartialDFA,
     one per isomorphism class, canonically sorted; returns (supervisors,
     truncated)."""
     check_enumeration_limit(limit)
-    product = dual_marked_product(complete(plant), complete(sup_aut))
+    product = dual_marked_product(plant, sup_aut)
     return enumerate_instance(*encode(n, product, constraint), limit)
 
 
@@ -145,7 +145,7 @@ def obfuscate(req: ObfuscationRequest,
         raise ValueError("n_max must be at least 1")
     check_enumeration_limit(req.enumeration_limit)
 
-    product = dual_marked_product(complete(plant), complete(sup_aut))
+    product = dual_marked_product(plant, sup_aut)
     trace: list[SizeTrace] = []
     truncated = False
     winner = None  # (canonical key, supervisor)

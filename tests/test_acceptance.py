@@ -67,7 +67,7 @@ def test_criterion_2_encoding_soundness():
         sup_aut = random_supervisor_automaton(rng, alph, constraint, 4)
         sup = S.Supervisor(sup_aut, constraint)
         n = rng.randint(1, 4)
-        prod = S.dual_marked_product(S.complete(plant), S.complete(sup_aut))
+        prod = S.dual_marked_product(plant, sup_aut)
         cnf, vt = S.encode(n, prod, constraint)
         backend = S.solve_instance(cnf)
         if not backend.solve():
@@ -95,8 +95,7 @@ def test_criterion_3_encoding_completeness():
         sup_aut = random_supervisor_automaton(rng, alph, constraint, 2)
         loop = S.sync_product(plant, sup_aut)
         for n in (1, 2):
-            prod = S.dual_marked_product(S.complete(plant),
-                                         S.complete(sup_aut))
+            prod = S.dual_marked_product(plant, sup_aut)
             sat = satisfiable_within(prod, constraint, n)
             brute = any(
                 S.language_equal(S.sync_product(plant, cand), loop)[0]
@@ -256,8 +255,7 @@ def test_criterion_8_determinism_and_round_trips(tmp_path, tri):
                 or back.damage.marked != pf.damage.marked):
             diffs.append(f"{name} round trip")
     # DIMACS round trips
-    prod = S.dual_marked_product(S.complete(tri.plant),
-                                 S.complete(tri.supervisor.automaton))
+    prod = S.dual_marked_product(tri.plant, tri.supervisor.automaton)
     cnf, vt = S.encode(2, prod, tri.control)
     parsed = S.parse_dimacs(S.export_dimacs(cnf, vt))
     if parsed.clauses != cnf.clauses or parsed.num_vars != cnf.num_vars:

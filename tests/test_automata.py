@@ -5,9 +5,8 @@ import pytest
 
 import supobf as S
 from supobf.automata import explore
-from conftest import (marked_strings_upto, random_alphabet, random_damage,
-                      random_damaged_instance, random_plant, shortlex,
-                      strings_upto, view_items)
+from conftest import (random_alphabet, random_damage, random_damaged_instance,
+                      random_plant, shortlex, strings_upto, view_items)
 
 
 def simple_alphabet(*events):
@@ -35,68 +34,6 @@ def test_partial_dfa_validation():
         S.PartialDFA(alph, ("p",), {(0, "z"): 0})
     with pytest.raises(S.AutomatonError):
         S.PartialDFA(alph, ("p",), {}, initial=2)
-
-
-def test_complete_empty_transition_map():
-    alph = simple_alphabet("a")
-    p = S.PartialDFA(alph, ("p0",))
-    c = S.complete(p)
-    assert c.inner.n_states == 2 and c.dump == 1
-    assert c.inner.trans == {(0, "a"): 1, (1, "a"): 1}
-    assert c.inner.marked == frozenset({0})
-
-
-def test_complete_total_input_keeps_language():
-    alph = simple_alphabet("a")
-    p = S.PartialDFA(alph, ("p0",), {(0, "a"): 0})
-    c = S.complete(p)
-    assert c.dump == 1
-    for s in [(), ("a",), ("a", "a", "a")]:
-        assert S.accepts(c.inner, s, marked=True) == S.accepts(p, s)
-
-
-def test_complete_tri_supervisor(tri):
-    c = S.complete(tri.supervisor.automaton)
-    assert c.inner.n_states == 3
-    for string, expect in [((), True), (("a",), True), (("a", "b"), True),
-                           (("b",), False)]:
-        assert S.accepts(c.inner, string, marked=True) == expect
-        assert S.accepts(tri.supervisor.automaton, string) == expect
-
-
-def test_complete_dfa_rejects_what_is_not_a_completion():
-    # states p0, p1 and the dump 2, marked {0, 1}, total and absorbing
-    good = S.complete(S.PartialDFA(simple_alphabet("a", "b"), ("p0", "p1"),
-                                   {(0, "a"): 1}))
-    inner = good.inner
-    assert S.CompleteDFA(inner, good.dump) == good
-
-    def variant(drop=(), set_to=(), marked=inner.marked):
-        trans = {k: v for k, v in inner.trans.items() if k not in drop}
-        trans.update(set_to)
-        return S.PartialDFA(inner.alphabet, inner.names, trans,
-                            inner.initial, marked)
-
-    for aut, message in (
-            (variant(drop=[(1, "b")]), "completion is not total"),
-            (variant(set_to={(2, "b"): 0}), "dump state is not absorbing"),
-            (variant(marked=frozenset({0, 1, 2})),
-             "completion must mark exactly the non-dump states"),
-            (variant(marked=None),
-             "completion must mark exactly the non-dump states")):
-        with pytest.raises(S.AutomatonError) as err:
-            S.CompleteDFA(aut, good.dump)
-        assert str(err.value) == message
-
-
-def test_complete_language_property():
-    rng = random.Random(7)
-    for _ in range(40):
-        alph = random_alphabet(rng)[0]
-        p = random_plant(rng, alph)
-        c = S.complete(p)
-        bound = p.n_states + 1
-        assert marked_strings_upto(c.inner, bound) == strings_upto(p, bound)
 
 
 def test_sync_product_idempotent():
@@ -146,8 +83,7 @@ def test_sync_product_distinct_alphabets_raise():
 
 
 def test_dual_marked_product_tri(tri):
-    gds = S.dual_marked_product(S.complete(tri.plant),
-                                S.complete(tri.supervisor.automaton))
+    gds = S.dual_marked_product(tri.plant, tri.supervisor.automaton)
     # a partial automaton marked on its A-pairs, with pairs named as the
     # closed loop names them
     assert isinstance(gds, S.PartialDFA)
@@ -172,7 +108,7 @@ def test_dual_marked_product_empty_b_marks():
     alph = simple_alphabet("a")
     g = S.PartialDFA(alph, ("q0",), {(0, "a"): 0})
     s = S.PartialDFA(alph, ("x0",), {(0, "a"): 0})  # L(s) = L(g)
-    gds = S.dual_marked_product(S.complete(g), S.complete(s))
+    gds = S.dual_marked_product(g, s)
     assert gds.marked == frozenset({0}) and gds.n_states == 1
     assert gds.names == ("(q0,x0)",)
 
@@ -183,7 +119,7 @@ def test_dual_marked_product_marking_property():
         alph = random_alphabet(rng)[0]
         g = random_plant(rng, alph, 3)
         s = random_plant(rng, alph, 3)
-        gds = S.dual_marked_product(S.complete(g), S.complete(s))
+        gds = S.dual_marked_product(g, s)
         bound = 5
         lg, ls = strings_upto(g, bound), strings_upto(s, bound)
         frontier = [((), 0)]
@@ -277,6 +213,15 @@ def test_totalize_preserves_marking():
     assert t.marked == frozenset({1})
     assert S.accepts(t, ("a",), marked=True)
     assert not S.accepts(t, ("a", "a"), marked=True)
+    assert t.names == ("z0", "z1", "sink")
+    # the sink's name is primed until it is free
+    named = S.PartialDFA(alph, ("sink", "z1"), {(0, "a"): 1})
+    total = S.totalize(named)
+    assert total.names == ("sink", "z1", "sink'")
+    # with every state marked, the original states stay marked
+    assert total.marked == frozenset({0, 1})
+    # a total input is returned as it is
+    assert S.totalize(total) is total
 
 
 def test_canonical_key_isomorphism_invariance():
@@ -386,7 +331,7 @@ def test_products_do_not_depend_on_the_insertion_order_of_trans():
             s = S.Supervisor(x, sup.constraint)
             loop = S.sync_product(g, x)
             witness = S.validate_damage(r, g, s).witness
-            dm = S.dual_marked_product(S.complete(g), S.complete(x))
+            dm = S.dual_marked_product(g, x)
             gp = S.generalized_product(g, S.annotate_supervisor(s), h, attack)
             views.append((
                 loop.names, list(loop.trans.items()), loop.marked,

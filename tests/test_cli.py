@@ -111,6 +111,33 @@ def test_synth_bp_lists_candidates(capsys, tmp_path):
     assert "\nc u " not in text
 
 
+@pytest.mark.parametrize("name", GOLDEN_NAMES)
+def test_synth_bp_dimacs_matches_golden(name, tmp_path, capsys):
+    dimacs = tmp_path / "inst.cnf"
+    assert main(["synth-bp", fixture(name), "-n", "2", "--limit", "1",
+                 "--dimacs", str(dimacs)]) == 0
+    assert dimacs.read_bytes() == \
+        (GOLDEN / f"{name}.synth2.cnf").read_bytes()
+
+
+def test_synth_bp_writes_dimacs_before_the_enumeration(tmp_path, monkeypatch,
+                                                       capsys):
+    # an enumeration without --limit may run for long; the instance is on
+    # disk by the time it starts
+    dimacs = tmp_path / "inst.cnf"
+    seen = []
+    original = supobf.cli.enumerate_instance
+
+    def checking(*args, **kwargs):
+        seen.append(dimacs.read_text(encoding="utf-8"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(supobf.cli, "enumerate_instance", checking)
+    assert main(["synth-bp", fixture("tri"), "-n", "2", "--limit", "1",
+                 "--dimacs", str(dimacs)]) == 0
+    assert seen == [(GOLDEN / "tri.synth2.cnf").read_text(encoding="utf-8")]
+
+
 def test_oracle_exit_codes(capsys):
     assert main(["oracle", fixture("atk")]) == 1
     out = capsys.readouterr().out

@@ -304,8 +304,7 @@ def test_shared_climb_matches_fresh_encodings():
             continue
         plant, sup, _, _ = inst
         constraint = sup.constraint
-        product = S.dual_marked_product(S.complete(plant),
-                                        S.complete(sup.automaton))
+        product = S.dual_marked_product(plant, sup.automaton)
         for n, backend, vt in grown_climb(product, constraint, n_max):
             shared = [key for key, _ in iter_size_candidates(backend, vt,
                                                              limit)]
@@ -332,8 +331,7 @@ def test_every_model_is_its_canonical_form():
             cases.append((inst[0], inst[1].automaton, inst[1].constraint))
     yielded = 0
     for plant, sup_aut, constraint in cases:
-        product = S.dual_marked_product(S.complete(plant),
-                                        S.complete(sup_aut))
+        product = S.dual_marked_product(plant, sup_aut)
         events = plant.alphabet.events
         for n, backend, vt in grown_climb(product, constraint, 3):
             keys = []

@@ -24,8 +24,7 @@ def grown_table(n, alph, constraint, mark_a):
 
 
 def product_of(pf):
-    return S.dual_marked_product(S.complete(pf.plant),
-                                 S.complete(pf.supervisor.automaton))
+    return S.dual_marked_product(pf.plant, pf.supervisor.automaton)
 
 
 def b_pairs(prod):
@@ -134,7 +133,7 @@ def test_separation_structure_no_b_marks():
     alph = S.Alphabet(("a",))
     g = S.PartialDFA(alph, ("q0",), {(0, "a"): 0})
     s = S.PartialDFA(alph, ("x0",), {(0, "a"): 0})
-    prod = S.dual_marked_product(S.complete(g), S.complete(s))
+    prod = S.dual_marked_product(g, s)
     assert b_pairs(prod) == frozenset()
     vt = grown_table(1, alph, S.ControlConstraint(frozenset("a"),
                                                   frozenset("a")),
@@ -374,7 +373,7 @@ def test_soundness_on_random_instances():
         plant = random_plant(rng, alph, 4)
         sup_aut = random_supervisor_automaton(rng, alph, constraint, 3)
         sup = S.Supervisor(sup_aut, constraint)
-        prod = S.dual_marked_product(S.complete(plant), S.complete(sup_aut))
+        prod = S.dual_marked_product(plant, sup_aut)
         n = rng.randint(1, 3)
         cnf, vt = S.encode(n, prod, constraint)
         backend = S.solve_instance(cnf)
@@ -397,7 +396,7 @@ def test_completeness_on_tiny_instances():
         sup_aut = random_supervisor_automaton(rng, alph, constraint, 2)
         loop = S.sync_product(plant, sup_aut)
         for n in (1, 2):
-            prod = S.dual_marked_product(S.complete(plant), S.complete(sup_aut))
+            prod = S.dual_marked_product(plant, sup_aut)
             sat = satisfiable_within(prod, constraint, n)
             brute = any(
                 S.language_equal(S.sync_product(plant, cand), loop)[0]
@@ -435,7 +434,7 @@ def explicit_encoding_agrees(sup_trans):
                          {(0, "a"): 1, (0, "u"): 0, (1, "a"): 0})
     names = tuple(f"x{x}" for x in range(1 + max(sup_trans.values())))
     sup_aut = S.PartialDFA(alph, names, sup_trans)
-    prod = S.dual_marked_product(S.complete(plant), S.complete(sup_aut))
+    prod = S.dual_marked_product(plant, sup_aut)
     assert bool(b_pairs(prod)) == (len(names) > 1)
     n = 2
     cnf, vt = S.encode(n, prod, constraint)
@@ -539,21 +538,25 @@ def explicit_encoding_agrees(sup_trans):
 
 
 def untrimmed_product(plant, sup_aut):
-    """Breadth-first product of both completions, the plant's dump pairs
-    included: ``(n_states, trans, mark_a, mark_b)``."""
-    gbar, sbar = S.complete(plant), S.complete(sup_aut)
-    start = (gbar.inner.initial, sbar.inner.initial)
+    """Breadth-first product of the plant and the supervisor over the
+    whole alphabet, read with ``step``, ``None`` standing for the dump of
+    each, the plant's dump pairs included: ``(n_states, trans, mark_a,
+    mark_b)``."""
+    def step(aut, state, e):
+        return None if state is None else aut.step(state, e)
+
+    start = (plant.initial, sup_aut.initial)
     index, order, trans = {start: 0}, [start], {}
     for y, (q, x) in enumerate(order):
         for e in plant.alphabet.events:
-            pair = (gbar.inner.trans[(q, e)], sbar.inner.trans[(x, e)])
+            pair = (step(plant, q, e), step(sup_aut, x, e))
             trans[(y, e)] = index.setdefault(pair, len(order))
             if trans[(y, e)] == len(order):
                 order.append(pair)
-    alive = [y for y, (q, _) in enumerate(order) if q != gbar.dump]
+    alive = [y for y, (q, _) in enumerate(order) if q is not None]
     return (len(order), trans,
-            {y for y in alive if order[y][1] != sbar.dump},
-            {y for y in alive if order[y][1] == sbar.dump})
+            {y for y in alive if order[y][1] is not None},
+            {y for y in alive if order[y][1] is None})
 
 
 def t_projected_models(clauses, num_vars, tvars):
@@ -580,7 +583,7 @@ def test_trimmed_product_keeps_the_models_of_the_all_pairs_encoding():
         alph, constraint, _ = random_alphabet(rng, max_events=3)
         plant = random_plant(rng, alph, 4)
         sup_aut = random_supervisor_automaton(rng, alph, constraint, 3)
-        prod = S.dual_marked_product(S.complete(plant), S.complete(sup_aut))
+        prod = S.dual_marked_product(plant, sup_aut)
         n_all, trans, mark_a, mark_b = untrimmed_product(plant, sup_aut)
         trimmed += prod.n_states < n_all
         for n in (1, 2):

@@ -120,8 +120,7 @@ def test_the_benchmark_recorder_calls_still_answer(example1):
     # calls and reads these fields of their results; a renamed function,
     # argument or field would break the recorder, which no other test runs
     pf = example1
-    product = S.dual_marked_product(S.complete(pf.plant),
-                                    S.complete(pf.supervisor.automaton))
+    product = S.dual_marked_product(pf.plant, pf.supervisor.automaton)
     assert product.n_states == 9
     gp = S.generalized_product(pf.plant, S.annotate_supervisor(pf.supervisor),
                                pf.damage, pf.attack)

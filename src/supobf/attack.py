@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .automata import (AutomatonError, PartialDFA, _dot_quote, explore,
                        is_total, path_labels)
@@ -28,8 +28,7 @@ Command = tuple[str, ...]          # sorted event tuple
 ObsEvent = tuple[Optional[str], Command]   # (seen event or None, command)
 
 
-@dataclass(frozen=True)
-class AnnotatedSupervisor:
+class AnnotatedSupervisor(NamedTuple):
     """Supervisor with the control command it issues in each state; an
     observable transition into ``x`` shows the attacker ``commands[x]``."""
 
@@ -43,8 +42,7 @@ def annotate_supervisor(s: Supervisor) -> AnnotatedSupervisor:
                                         for row in s.automaton.delta))
 
 
-@dataclass(frozen=True)
-class AttackerView:
+class AttackerView(NamedTuple):
     """The generalized product's moves as the attacker sees them: bare
     supervisor-unobservable moves are epsilon moves, observable ones keep
     their (seen event, command) pair and may turn nondeterministic.
@@ -144,8 +142,7 @@ def project_attacker_view(gp: GPAutomaton) -> AttackerView:
     return gp.view
 
 
-@dataclass(frozen=True)
-class SubsetAutomaton:
+class SubsetAutomaton(NamedTuple):
     """Determinized attacker view, numbered in breadth-first order from
     the initial knowledge set 0.
     ``labels[i]`` is the set of attack events that succeed from knowledge
@@ -177,13 +174,15 @@ def determinize_and_label(view: AttackerView, gp: GPAutomaton,
     labelling each knowledge set as it is discovered.  With
     ``stop_at_label`` the construction ends at the first set with a
     non-empty label, which is then the last set of the result."""
+    moves, eps = view.moves, view.eps  # a tuple field read costs more
+
     def successors(cur):
         targets: dict[ObsEvent, set[int]] = {}
         for v in cur:
-            for obs, dsts in view.moves.get(v, {}).items():
+            for obs, dsts in moves.get(v, {}).items():
                 targets.setdefault(obs, set()).update(dsts)
         for obs in sorted(targets, key=lambda o: (o[0] or "", o[1])):
-            yield obs, _closure(targets[obs], view.eps)
+            yield obs, _closure(targets[obs], eps)
 
     # per attack event, the cores where firing it succeeds and fails; an
     # event without a success core can label no set
@@ -202,13 +201,12 @@ def determinize_and_label(view: AttackerView, gp: GPAutomaton,
         return stop_at_label and bool(lab)
 
     # ``explore`` calls ``label`` once per set in discovery order
-    order, trans = explore(_closure([0], view.eps), successors,
+    order, trans = explore(_closure([0], eps), successors,
                            stop=label)
     return SubsetAutomaton(tuple(order), trans, tuple(labels))
 
 
-@dataclass(frozen=True)
-class AttackWitness:
+class AttackWitness(NamedTuple):
     """A shortest observation sequence to a labelled knowledge set, the
     set itself (indices into the verdict's ``product``) and the least
     event of its label."""
@@ -218,8 +216,7 @@ class AttackWitness:
     event: str
 
 
-@dataclass(frozen=True)
-class AttackVerdict:
+class AttackVerdict(NamedTuple):
     """Outcome of :func:`non_attackable`.  ``subset_automaton`` is the
     construction the verdict was read from: on an attackable verdict it
     stops at the witness set (its last set), on a non-attackable one it is
@@ -252,8 +249,7 @@ def non_attackable(g: PartialDFA, s: Supervisor, h: PartialDFA,
     return AttackVerdict(False, witness, sub, gp)
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     attackable: bool
     conclusive: bool
     exhausted: bool

@@ -123,8 +123,7 @@ def closed_loop(g: PartialDFA, s: Supervisor) -> PartialDFA:
     return sync_product(g, s.automaton)
 
 
-@dataclass
-class DamageReport:
+class DamageReport(NamedTuple):
     """The first problem :func:`validate_damage` found, if any."""
 
     problem: Optional[str] = None

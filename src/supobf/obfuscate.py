@@ -25,8 +25,7 @@ reachable, so no model there repeats a blocked one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .automata import (PartialDFA, canonical_key, dual_marked_product,
                        reachable_states)
@@ -38,8 +37,7 @@ from .satenc import (CnfInstance, VarTable, blocking_clause, decode_model, encod
                      solve_instance)
 
 
-@dataclass
-class ObfuscationRequest:
+class ObfuscationRequest(NamedTuple):
     plant: PartialDFA
     supervisor: Supervisor
     target_constraint: ControlConstraint
@@ -49,8 +47,7 @@ class ObfuscationRequest:
     enumeration_limit: Optional[int] = None  # SAT models per size
 
 
-@dataclass
-class SizeTrace:
+class SizeTrace(NamedTuple):
     n: int
     candidates: int   # exact-size behavior-preserving supervisors
     resilient: int    # candidates that passed
@@ -61,8 +58,7 @@ class SizeTrace:
         return self.candidates
 
 
-@dataclass
-class ObfuscationResult:
+class ObfuscationResult(NamedTuple):
     found: bool
     supervisor: Optional[Supervisor]
     size: Optional[int]
@@ -154,18 +150,19 @@ def obfuscate(req: ObfuscationRequest,
     for n in range(1, n_max + 1):
         cnf, _ = encode(n, product, constraint, vt)  # adds row n - 1
         backend = solve_instance(cnf, backend)
-        row = SizeTrace(n, 0, 0)
+        candidates = resilient = 0
         for key, cand in iter_size_candidates(backend, vt,
                                               req.enumeration_limit):
-            row.candidates += 1
+            candidates += 1
             candidate = Supervisor(cand, constraint)
             verdict = non_attackable(plant, candidate, req.damage, req.attack,
                                      validate=False)
             if verdict.non_attackable:
-                row.resilient += 1
+                resilient += 1
                 if winner is None or key < winner[0]:
                     winner = (key, candidate)
-        truncated = truncated or row.candidates == req.enumeration_limit
+        truncated = truncated or candidates == req.enumeration_limit
+        row = SizeTrace(n, candidates, resilient)
         trace.append(row)
         if progress is not None:
             progress(row)

@@ -37,8 +37,7 @@ each at most once.  Everything after ``trans:`` is one transition per line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .automata import Alphabet, AutomatonError, PartialDFA, totalize
 from .control import AttackConstraint, ControlConstraint, Supervisor
@@ -57,8 +56,7 @@ class ParseError(ValueError):
         self.line = line
 
 
-@dataclass
-class ProblemFile:
+class ProblemFile(NamedTuple):
     alphabet: Alphabet
     plant: PartialDFA
     supervisor: Supervisor

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import os
 import random
@@ -690,8 +689,7 @@ def test_subset_construction_ignores_the_order_of_view_successors():
         gp = generalized_product(plant, annotate_supervisor(sup), damage,
                                  attack)
         view = project_attacker_view(gp)
-        shuffled = dataclasses.replace(
-            view,
+        shuffled = view._replace(
             eps={v: mixed(dsts) for v, dsts in view.eps.items()},
             moves={v: {obs: mixed(dsts) for obs, dsts in mixed(out.items())}
                    for v, out in view.moves.items()})

@@ -228,6 +228,21 @@ def test_obfuscate_out_that_cannot_be_written_prints_no_report(tmp_path,
     assert "error:" in captured.err
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("check", "--dot"), ("closed-loop", "--dot"), ("synth-bp", "--dimacs"),
+    ("obfuscate", "--out"), ("obfuscate", "--json")])
+def test_unwritable_output_path_is_input_error(command, flag, tmp_path,
+                                               capsys):
+    out = tmp_path / "missing" / "out"
+    extra = ["-n", "2", "--limit", "1"] if command == "synth-bp" else []
+    assert main([command, fixture("tri"), flag, str(out), *extra]) == 2
+    # an exception that escaped main would fail the test before this
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if "error" in line]
+    assert len(errors) == 1 and errors[0].startswith("error:")
+    assert "Traceback" not in err and not out.parent.exists()
+
+
 def dot_labels(text: str) -> list[str]:
     """Every ``label=`` value of a DOT text, decoded.  Each must be a
     quoted string in which a backslash escapes the next character, and the

@@ -13,9 +13,8 @@ from .automata import (Alphabet, AutomatonError, PartialDFA, accepts,
 from .control import (AttackConstraint, ControlConstraint, DamageReport,
                       Supervisor, Violation, check_supervisor, closed_loop,
                       control_command, stray_damage_string, validate_damage)
-from .attack import (AnnotatedSupervisor, AttackVerdict, AttackWitness,
-                     GPAutomaton, OracleResult, SubsetAutomaton,
-                     annotate_supervisor, attackable_by_search,
+from .attack import (AttackVerdict, AttackWitness, GPAutomaton, OracleResult,
+                     SubsetAutomaton, attackable_by_search,
                      determinize_and_label, generalized_product,
                      non_attackable, project_attacker_view, subset_to_dot)
 from .obfuscate import (ObfuscationRequest, ObfuscationResult, SizeTrace,

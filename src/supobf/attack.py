@@ -1,12 +1,13 @@
 """Non-attackability verification for command-eavesdropping attackers.
 
-Pipeline: annotate the supervisor with the control command issued after
-each observable transition, build the generalized product of plant,
-annotated supervisor and damage automaton (with success/failure verdict
-sinks for attack moves) that records each move as the attacker sees it,
-determinize that view with epsilon closure, and label each knowledge set
-with the attack events that are guaranteed to succeed from it.  The
-verdict stops the determinization at the first labelled knowledge set.
+Pipeline: build the generalized product of plant, supervisor and damage
+automaton (with success/failure verdict sinks for attack moves) that
+records each move as the attacker sees it, with the control command
+(:func:`~supobf.control.control_command`) the supervisor issues at the
+move's target, determinize that view with epsilon closure, and label each
+knowledge set with the attack events that are guaranteed to succeed from
+it.  The verdict stops the determinization at the first labelled
+knowledge set.
 
 The attacker sees a pair per supervisor-observable event: the event itself
 when it is attacker-observable (else an epsilon placeholder) and the fresh
@@ -16,30 +17,15 @@ all and are handled by epsilon closure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple, Optional
 
 from .automata import (AutomatonError, PartialDFA, _dot_quote, explore,
                        is_total, path_labels)
-from .control import AttackConstraint, Supervisor, validate_damage
+from .control import (AttackConstraint, Supervisor, control_command,
+                      validate_damage)
 
 Command = tuple[str, ...]          # sorted event tuple
 ObsEvent = tuple[Optional[str], Command]   # (seen event or None, command)
-
-
-class AnnotatedSupervisor(NamedTuple):
-    """Supervisor with the control command it issues in each state; an
-    observable transition into ``x`` shows the attacker ``commands[x]``."""
-
-    supervisor: Supervisor
-    commands: tuple[Command, ...]              # per state
-
-
-def annotate_supervisor(s: Supervisor) -> AnnotatedSupervisor:
-    # the command at a state is the set of events defined there
-    return AnnotatedSupervisor(s, tuple(tuple(sorted(row))
-                                        for row in s.automaton.delta))
 
 
 class AttackerView(NamedTuple):
@@ -53,8 +39,7 @@ class AttackerView(NamedTuple):
     moves: dict        # state -> {ObsEvent: list of successors}
 
 
-@dataclass(frozen=True)
-class GPAutomaton:
+class GPAutomaton(NamedTuple):
     """Generalized product over core states (plant, supervisor, damage),
     numbered breadth-first from the initial core 0.
 
@@ -73,44 +58,47 @@ class GPAutomaton:
     def n_states(self) -> int:
         return len(self.cores)
 
-    @cached_property
+    @property
     def names(self) -> tuple[str, ...]:
-        """Display name of each core, formatted on first use."""
+        """Display name of each core, formatted on each read."""
         g, x, h = self.component_names
         return tuple(f"({g[q]},{x[s]},{h[z]})" for q, s, z in self.cores)
 
 
-def generalized_product(g: PartialDFA, sa: AnnotatedSupervisor,
+def generalized_product(g: PartialDFA, s: Supervisor,
                         h: PartialDFA, ac: AttackConstraint) -> GPAutomaton:
     """Reachable part of the three-way product with attack verdicts.
 
     A flat breadth-first loop that numbers the cores as :func:`explore`
     would, appends each move to the attacker view as it finds it, and
-    records each core's attack verdicts as it leaves the queue."""
-    sup = sa.supervisor
+    records each core's attack verdicts as it leaves the queue.  An
+    observable move into supervisor state ``x`` shows the attacker the
+    sorted control command of ``x``."""
+    sup = s.automaton
     if g.alphabet.events != h.alphabet.events or \
-            g.alphabet.events != sup.automaton.alphabet.events:
+            g.alphabet.events != sup.alphabet.events:
         raise AutomatonError("plant, supervisor and damage must share an alphabet")
     if not is_total(h):
         raise AutomatonError("damage automaton must be total")
     if h.marked is None:
         raise AutomatonError("damage automaton needs an explicit marked set")
-    ac.check_against(sup.constraint)
+    ac.check_against(s.constraint)
 
     # what the attacker sees of each supervisor-observable event
     seen = {ev: ev if ev in ac.attacker_observable else None
-            for ev in sup.constraint.observable}
-    commands = sa.commands
+            for ev in s.constraint.observable}
+    commands = [tuple(sorted(control_command(s, x)))
+                for x in range(sup.n_states)]
     g_rows, h_rows, marked = g.delta, h.delta, h.marked
     attack_events = tuple(e for e in g.alphabet.events if e in ac.attackable)
     # per supervisor state: event -> (target, observation or None for epsilon)
     x_moves = [{ev: (x2, (seen[ev], commands[x2]) if ev in seen else None)
-                for ev, x2 in row.items()} for row in sup.automaton.delta]
+                for ev, x2 in row.items()} for row in sup.delta]
     disabled = [[ev for ev in attack_events if ev not in row]
-                for row in sup.automaton.delta]
+                for row in sup.delta]
 
     # ``order`` grows while it is walked, which makes it the queue
-    start = (g.initial, sup.automaton.initial, h.initial)
+    start = (g.initial, sup.initial, h.initial)
     index = {start: 0}
     order = [start]
     eps, moves, attack = {}, {}, {}
@@ -133,7 +121,7 @@ def generalized_product(g: PartialDFA, sa: AnnotatedSupervisor,
             if ev in g_row:
                 attack[(src, ev)] = h_row[ev] in marked
     return GPAutomaton(tuple(order), AttackerView(eps, moves), attack,
-                       attack_events, (g.names, sup.automaton.names, h.names))
+                       attack_events, (g.names, sup.names, h.names))
 
 
 def project_attacker_view(gp: GPAutomaton) -> AttackerView:
@@ -238,7 +226,7 @@ def non_attackable(g: PartialDFA, s: Supervisor, h: PartialDFA,
         report = validate_damage(h, g, s)
         if not report.ok:
             raise AutomatonError(report.problem)
-    gp = generalized_product(g, annotate_supervisor(s), h, ac)
+    gp = generalized_product(g, s, h, ac)
     sub = determinize_and_label(project_attacker_view(gp), gp,
                                 stop_at_label=True)
     last = len(sub.subsets) - 1
@@ -366,8 +354,9 @@ def subset_to_dot(sub: SubsetAutomaton, gp: GPAutomaton) -> str:
 
     lines = ['digraph "attacker-view" {', "  rankdir=LR;",
              "  __init__ [shape=point];"]
+    names = gp.names
     for i, subset in enumerate(sub.subsets):
-        members = "{" + ",".join(gp.names[v] for v in sorted(subset)) + "}"
+        members = "{" + ",".join(names[v] for v in sorted(subset)) + "}"
         if sub.labels[i]:
             label = _dot_quote(members,
                                "attack: " + ",".join(sorted(sub.labels[i])))

@@ -15,12 +15,12 @@ import time
 
 from .automata import dual_marked_product, is_total, to_dot
 from .attack import (attackable_by_search, determinize_and_label,
-                     non_attackable, project_attacker_view, subset_to_dot)
+                     non_attackable, subset_to_dot)
 from .control import closed_loop, stray_damage_string, validate_damage
 from .obfuscate import (ObfuscationRequest, check_enumeration_limit,
                         enumerate_instance, obfuscate)
 from .problemfile import (ProblemFile, emit_automaton_section, emit_problem,
-                          load_problem, with_supervisor)
+                          load_problem)
 from .satenc import encode, export_dimacs
 
 EXIT_OK = 0
@@ -80,7 +80,7 @@ def cmd_check(args) -> int:
         # only an attackable verdict's construction stopped short of the end
         gp, sub = verdict.product, verdict.subset_automaton
         if not verdict.non_attackable:
-            sub = determinize_and_label(project_attacker_view(gp), gp)
+            sub = determinize_and_label(gp.view, gp)
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(subset_to_dot(sub, gp))
     if verdict.non_attackable:
@@ -159,7 +159,7 @@ def cmd_obfuscate(args) -> int:
         return EXIT_NEGATIVE
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(emit_problem(with_supervisor(pf, result.supervisor)))
+            fh.write(emit_problem(pf._replace(supervisor=result.supervisor)))
     print(f"found: {result.size}-state resilient behavior-preserving supervisor")
     sys.stdout.write(emit_automaton_section("supervisor",
                                             result.supervisor.automaton))

@@ -293,8 +293,3 @@ def emit_problem(pf: ProblemFile) -> str:
     text += emit_automaton_section("supervisor", pf.supervisor.automaton)
     text += emit_automaton_section("damage", pf.damage)
     return text
-
-
-def with_supervisor(pf: ProblemFile, sup: Supervisor) -> ProblemFile:
-    return ProblemFile(pf.alphabet, pf.plant, sup, pf.damage, pf.control,
-                       pf.attack)

@@ -4,10 +4,11 @@ The backend contract expected by the encoding layer:
 
 * ``add_clause(lits)``: clauses may be added at any time, including after
   a satisfiable ``solve()`` (blocking clauses for model enumeration).  It
-  checks the literals and, unless the clause can be watched on the kept
-  assumption levels (below), hands it to ``load_clauses``, the one place
-  that folds root values in; a watched clause may keep literals false at
-  the root, which no watch is put on and conflict analysis skips;
+  checks the literals, non-zero ``int``s and never ``bool``s, and, unless
+  the clause can be watched on the kept assumption levels (below), hands
+  it to ``load_clauses``, the one place that folds root values in; a
+  watched clause may keep literals false at the root, which no watch is
+  put on and conflict analysis skips;
 * ``load_clauses(clauses)``: bulk loading at the root, the one way a
   clause enters there.  It skips ``add_clause``'s checks, so every
   clause must be well formed: distinct non-zero literals over the
@@ -136,7 +137,8 @@ class SatSolver:
         seen = set()
         clause = []
         for lit in lits:
-            if lit == 0 or not isinstance(lit, int):
+            # ``True`` is an int too: an encoder constant left unfolded
+            if type(lit) is not int or lit == 0:
                 raise ValueError(f"bad literal {lit!r}")
             if -lit in seen:
                 return  # tautology
@@ -389,7 +391,7 @@ class SatSolver:
         holds; see the module docstring for the contract."""
         assumptions = list(assumptions)
         for lit in assumptions:
-            if lit == 0 or not isinstance(lit, int):
+            if type(lit) is not int or lit == 0:
                 raise ValueError(f"bad literal {lit!r}")
             self.reserve(abs(lit))
         self.stats["solves"] += 1

@@ -323,17 +323,19 @@ def encode(n: int, product: PartialDFA, constraint: ControlConstraint,
     the transition variables, are the breadth-first numbered supervisors
     of exactly ``n`` reachable states, one per isomorphism class.
 
-    With ``vt``: the table is extended in place to ``n`` rows and only the
-    added rows' clauses are returned, without the unit ``c(n)``, so a
-    solver holding the table's earlier clauses can take them and grow
-    again later.  Solved under the assumption ``c(n)``, it then has the
-    models above.
+    With ``vt``, which must be built for ``constraint``: the table is
+    extended in place to ``n`` rows and only the added rows' clauses are
+    returned, without the unit ``c(n)``, so a solver holding the table's
+    earlier clauses can take them and grow again later.  Solved under the
+    assumption ``c(n)``, it then has the models above.
     """
     if n < 1:
         raise AutomatonError("state bound must be at least 1")
     fresh = vt is None
     if fresh:
         vt = VarTable(product.alphabet, constraint, product.marked)
+    elif constraint != vt.constraint:
+        raise AutomatonError("variable table built for a different constraint")
     clauses = []
     while vt.n < n:
         k = vt.add_row()

@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 import supobf as S
-from supobf.attack import (annotate_supervisor, determinize_and_label,
-                           generalized_product, project_attacker_view)
+from supobf.attack import (determinize_and_label, generalized_product,
+                           project_attacker_view)
 from supobf.automata import explore
 from supobf.problemfile import ProblemFile, emit_problem
 from conftest import (load_fixture, random_attack_instance,
@@ -27,38 +27,14 @@ def permute_states(aut: S.PartialDFA, perm: list[int]) -> S.PartialDFA:
                         marked)
 
 
-def test_annotate_single_state_full():
-    sup = S.Supervisor(S.PartialDFA(S.Alphabet(("a",)), ("x0",),
-                                    {(0, "a"): 0}),
-                       S.ControlConstraint(frozenset("a"), frozenset("a")))
-    sa = annotate_supervisor(sup)
-    assert sa.commands == (("a",),)
-
-
-def test_annotate_example1_commands(example1):
-    sa = annotate_supervisor(example1.supervisor)
-    x3 = example1.supervisor.automaton.run(["a", "c"])
-    x4 = example1.supervisor.automaton.run(["a", "c", "d"])
-    assert example1.supervisor.automaton.step(x3, "d") == x4
-    assert sa.commands[x4] == ("b",)
-
-
-def test_annotate_tri_command(tri):
-    sa = annotate_supervisor(tri.supervisor)
-    assert tri.supervisor.automaton.step(0, "a") == 1
-    assert sa.commands[1] == ("a", "b")
-
-
 def test_generalized_product_no_attackable_events(tri):
-    gp = generalized_product(tri.plant, annotate_supervisor(tri.supervisor),
-                             tri.damage, tri.attack)
+    gp = generalized_product(tri.plant, tri.supervisor, tri.damage, tri.attack)
     assert gp.attack == {}
     assert gp.attack_events == ()
 
 
 def test_generalized_product_atk(atk):
-    gp = generalized_product(atk.plant, annotate_supervisor(atk.supervisor),
-                             atk.damage, atk.attack)
+    gp = generalized_product(atk.plant, atk.supervisor, atk.damage, atk.attack)
     assert gp.cores[0] == (0, 0, 0)
     assert gp.attack[(0, "k")] is True  # success verdict from the start state
 
@@ -71,20 +47,24 @@ def test_generalized_product_enabled_attack_event_has_no_verdict():
     sup = S.Supervisor(S.PartialDFA(alph, ("x0", "x1"), {(0, "k"): 1}), con)
     damage = S.totalize(S.PartialDFA(alph, ("z0", "z1"), {(0, "k"): 1}, 0,
                                      frozenset({1})))
-    gp = generalized_product(plant, annotate_supervisor(sup), damage,
+    gp = generalized_product(plant, sup, damage,
                              S.AttackConstraint(frozenset("k"), frozenset("k")))
     assert gp.attack == {}
 
 
-def explored_generalized_product(g, sa, h, ac):
+def explored_generalized_product(g, sup, h, ac):
     """The generalized product as a successor function passed to
     ``explore``, with the moves projected to the attacker view and the
     attack verdicts filled in second passes: the reference for the
-    numbering and the view's insertion order of the flat loop."""
-    sup = sa.supervisor
+    numbering and the view's insertion order of the flat loop.  It reads
+    each control command through ``step`` over the alphabet."""
     seen = {ev: ev if ev in ac.attacker_observable else None
             for ev in sup.constraint.observable}
-    g_rows, x_rows, h_rows = g.delta, sup.automaton.delta, h.delta
+    aut = sup.automaton
+    commands = [tuple(sorted(ev for ev in aut.alphabet.events
+                             if aut.step(x, ev) is not None))
+                for x in range(aut.n_states)]
+    g_rows, x_rows, h_rows = g.delta, aut.delta, h.delta
 
     def successors(core):
         q, x, z = core
@@ -94,12 +74,11 @@ def explored_generalized_product(g, sa, h, ac):
             x2 = x_row.get(ev)
             if x2 is None:
                 continue
-            key = (ev, (seen[ev], sa.commands[x2]) if ev in seen else None)
+            key = (ev, (seen[ev], commands[x2]) if ev in seen else None)
             out.append((key, (q2, x2, h_row[ev])))
         return out
 
-    order, trans = explore((g.initial, sup.automaton.initial, h.initial),
-                           successors)
+    order, trans = explore((g.initial, aut.initial, h.initial), successors)
     eps, moves = {}, {}
     for (src, (ev, obs)), dst in trans.items():
         if obs is None:
@@ -127,9 +106,8 @@ def test_generalized_product_numbers_as_explore_does():
                   for _ in range(200)]
     verdicts = 0
     for plant, sup, damage, attack in instances:
-        sa = annotate_supervisor(sup)
-        gp = generalized_product(plant, sa, damage, attack)
-        order, view, verdict = explored_generalized_product(plant, sa,
+        gp = generalized_product(plant, sup, damage, attack)
+        order, view, verdict = explored_generalized_product(plant, sup,
                                                              damage, attack)
         assert gp.cores == tuple(order)
         assert view_items(gp.view.eps, gp.view.moves) == view_items(*view)
@@ -141,8 +119,7 @@ def test_generalized_product_numbers_as_explore_does():
 def test_generalized_product_requires_total_marked_damage(atk):
     partial = S.PartialDFA(atk.plant.alphabet, ("z0",), {}, 0, frozenset())
     with pytest.raises(S.AutomatonError):
-        generalized_product(atk.plant, annotate_supervisor(atk.supervisor),
-                            partial, atk.attack)
+        generalized_product(atk.plant, atk.supervisor, partial, atk.attack)
 
 
 def test_attacker_projection_unobservable_only():
@@ -151,7 +128,7 @@ def test_attacker_projection_unobservable_only():
     plant = S.PartialDFA(alph, ("q0", "q1"), {(0, "u"): 1, (1, "u"): 0})
     sup = S.Supervisor(S.PartialDFA(alph, ("x0",), {(0, "u"): 0}), con)
     damage = S.totalize(S.PartialDFA(alph, ("z0",), {}, 0, frozenset()))
-    gp = generalized_product(plant, annotate_supervisor(sup), damage,
+    gp = generalized_product(plant, sup, damage,
                              S.AttackConstraint(frozenset(), frozenset()))
     view = project_attacker_view(gp)
     assert view.moves == {}
@@ -159,8 +136,7 @@ def test_attacker_projection_unobservable_only():
 
 
 def test_attacker_projection_atk_command_update(atk):
-    gp = generalized_product(atk.plant, annotate_supervisor(atk.supervisor),
-                             atk.damage, atk.attack)
+    gp = generalized_product(atk.plant, atk.supervisor, atk.damage, atk.attack)
     view = project_attacker_view(gp)
     # a is supervisor-observable but attacker-invisible: it surfaces as a
     # command-only observation
@@ -168,8 +144,7 @@ def test_attacker_projection_atk_command_update(atk):
 
 
 def test_determinize_singletons_without_epsilon(atk):
-    gp = generalized_product(atk.plant, annotate_supervisor(atk.supervisor),
-                             atk.damage, atk.attack)
+    gp = generalized_product(atk.plant, atk.supervisor, atk.damage, atk.attack)
     sub = determinize_and_label(project_attacker_view(gp), gp)
     assert all(len(y) == 1 for y in sub.subsets)
     assert sub.subsets[0] == frozenset({0})
@@ -188,7 +163,7 @@ def test_label_blocked_by_failure_state():
         alph, ("z0", "za", "zb", "zd"),
         {(0, "a"): 1, (0, "b"): 2, (1, "k"): 3}, 0, frozenset({3})))
     ac = S.AttackConstraint(frozenset("k"), frozenset("k"))
-    gp = generalized_product(plant, annotate_supervisor(sup), damage, ac)
+    gp = generalized_product(plant, sup, damage, ac)
     sub = determinize_and_label(project_attacker_view(gp), gp)
     # a and b are attacker-invisible and lead to the same command, so the
     # estimate contains both continuations; the failing branch vetoes k
@@ -235,8 +210,7 @@ def test_equal_commands_merge_attacker_estimates(example1, example1_obfuscated):
     # observation is a singleton; the obfuscated one reuses the same
     # command and the two continuations collapse into one knowledge set
     def subsets_after_ac(pf):
-        gp = generalized_product(pf.plant, annotate_supervisor(pf.supervisor),
-                                 pf.damage, pf.attack)
+        gp = generalized_product(pf.plant, pf.supervisor, pf.damage, pf.attack)
         sub = determinize_and_label(project_attacker_view(gp), gp)
         # walk: initial --(ε,V(a))--> --(c,V(ac))--> then branch
         y1 = sub.trans[(0, (None, ("b", "c", "d")))]
@@ -571,8 +545,7 @@ def test_subset_states_match_oracle_observation_classes(atk, example1):
     # every reachable knowledge set equals the set of product states the
     # oracle's observation grouping discovers for some observation
     for pf in (atk, example1):
-        gp = generalized_product(pf.plant, annotate_supervisor(pf.supervisor),
-                                 pf.damage, pf.attack)
+        gp = generalized_product(pf.plant, pf.supervisor, pf.damage, pf.attack)
         sub = determinize_and_label(project_attacker_view(gp), gp)
         core_sets = {frozenset(gp.cores[v] for v in y) for y in sub.subsets}
 
@@ -607,8 +580,7 @@ def test_subset_states_match_oracle_observation_classes(atk, example1):
 
 
 def test_subset_dot_highlights_labels(atk):
-    gp = generalized_product(atk.plant, annotate_supervisor(atk.supervisor),
-                             atk.damage, atk.attack)
+    gp = generalized_product(atk.plant, atk.supervisor, atk.damage, atk.attack)
     sub = determinize_and_label(project_attacker_view(gp), gp)
     dot = S.subset_to_dot(sub, gp)
     assert "lightcoral" in dot and "attack: k" in dot
@@ -686,8 +658,7 @@ def test_subset_construction_ignores_the_order_of_view_successors():
         return out
 
     for plant, sup, damage, attack in instances:
-        gp = generalized_product(plant, annotate_supervisor(sup), damage,
-                                 attack)
+        gp = generalized_product(plant, sup, damage, attack)
         view = project_attacker_view(gp)
         shuffled = view._replace(
             eps={v: mixed(dsts) for v, dsts in view.eps.items()},

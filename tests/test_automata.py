@@ -332,7 +332,7 @@ def test_products_do_not_depend_on_the_insertion_order_of_trans():
             loop = S.sync_product(g, x)
             witness = S.validate_damage(r, g, s).witness
             dm = S.dual_marked_product(g, x)
-            gp = S.generalized_product(g, S.annotate_supervisor(s), h, attack)
+            gp = S.generalized_product(g, s, h, attack)
             views.append((
                 loop.names, list(loop.trans.items()), loop.marked,
                 dm.names, list(dm.trans.items()), dm.marked,

@@ -57,8 +57,7 @@ def test_check_dot_renders_the_verdict(tmp_path, capsys):
     assert text.startswith("digraph")
     assert "attack: k" in text and "fillcolor=lightcoral" in text
     pf = load_fixture("atk")
-    gp = S.generalized_product(pf.plant, S.annotate_supervisor(pf.supervisor),
-                               pf.damage, pf.attack)
+    gp = S.generalized_product(pf.plant, pf.supervisor, pf.damage, pf.attack)
     sub = S.determinize_and_label(S.project_attacker_view(gp), gp)
     assert dot.read_bytes() == S.subset_to_dot(sub, gp).encode("utf-8")
 

@@ -59,7 +59,7 @@ def test_check_supervisor_violations():
     assert bad == [S.Violation(0, "u", "C")]
 
 
-def test_control_command_full_and_quoted(example1):
+def test_control_command_full_and_quoted(example1, tri):
     sup = example1.supervisor
     assert S.control_command(sup, sup.automaton.run(["a", "c"])) == \
         frozenset({"a", "b", "d"})
@@ -69,6 +69,8 @@ def test_control_command_full_and_quoted(example1):
                                      {(0, "a"): 0}),
                         S.ControlConstraint(frozenset("a"), frozenset("a")))
     assert S.control_command(full, 0) == frozenset({"a"})
+    assert tri.supervisor.automaton.step(0, "a") == 1
+    assert S.control_command(tri.supervisor, 1) == frozenset({"a", "b"})
 
 
 def test_control_command_superset_of_uncontrollable():

@@ -4,7 +4,7 @@ import supobf as S
 from conftest import FIXTURES
 from supobf.cli import main
 from supobf.problemfile import (ParseError, add_unobservable_selfloops,
-                                emit_problem, parse_problem, with_supervisor)
+                                emit_problem, parse_problem)
 
 MINIMAL = """
 [alphabet]
@@ -148,7 +148,7 @@ def test_with_supervisor_emission(example1):
     one = S.Supervisor(
         S.PartialDFA(alph, ("s0",), {(0, e): 0 for e in "abcd"}),
         example1.control)
-    text = emit_problem(with_supervisor(example1, one))
+    text = emit_problem(example1._replace(supervisor=one))
     back = parse_problem(text)
     assert back.supervisor.n_states == 1
     verdict = S.non_attackable(back.plant, back.supervisor, back.damage,

@@ -1,5 +1,5 @@
 """The result records are immutable named tuples, read by field; only the
-classes that validate, cache or need a fresh default stay dataclasses."""
+classes that validate or need a fresh default stay dataclasses."""
 
 import dataclasses
 import importlib
@@ -12,8 +12,9 @@ import supobf
 from supobf.attack import AttackerView
 
 RECORDS = {
-    supobf.AnnotatedSupervisor: ("supervisor", "commands"),
     AttackerView: ("eps", "moves"),
+    supobf.GPAutomaton: ("cores", "view", "attack", "attack_events",
+                         "component_names"),
     supobf.SubsetAutomaton: ("subsets", "trans", "labels"),
     supobf.AttackWitness: ("observations", "subset", "event"),
     supobf.AttackVerdict: ("non_attackable", "witness", "subset_automaton",
@@ -32,8 +33,7 @@ RECORDS = {
 }
 
 KEPT_DATACLASSES = {"Alphabet", "PartialDFA", "ControlConstraint",
-                    "AttackConstraint", "Supervisor", "GPAutomaton",
-                    "CnfInstance"}
+                    "AttackConstraint", "Supervisor", "CnfInstance"}
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)

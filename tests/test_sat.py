@@ -142,6 +142,20 @@ def test_bad_literal_rejected():
         s.add_clause([0])
 
 
+@pytest.mark.parametrize("lit", [True, False])
+def test_bool_literal_rejected(lit):
+    # the encoder folds constant literals to True and False; one that
+    # escaped the fold must not pass as variable 1 (or as 0)
+    s = SatSolver()
+    with pytest.raises(ValueError, match="bad literal"):
+        s.add_clause([lit])
+    with pytest.raises(ValueError, match="bad literal"):
+        s.solve([lit])
+    assert s.num_vars == 0 and type(s.num_vars) is int
+    with pytest.raises(ValueError, match="bad literal"):
+        s.add_clause([2, lit])
+
+
 def random_cnf(rng, max_vars, max_clauses):
     num_vars = rng.randint(1, max_vars)
     clauses = [[rng.choice([1, -1]) * rng.randint(1, num_vars)

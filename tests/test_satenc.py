@@ -199,6 +199,20 @@ def test_reach_var_constants(perf):
         vt.reach_var(2, min(prod.marked))
 
 
+def test_encode_rejects_a_table_built_for_another_constraint(example1):
+    prod = product_of(example1)
+    vt = VarTable(prod.alphabet, example1.control, prod.marked)
+    other = S.ControlConstraint(frozenset(), example1.control.observable)
+    with pytest.raises(S.AutomatonError, match="different constraint"):
+        S.encode(1, prod, other, vt)
+    assert vt.n == 0
+    # an equal constraint is the same constraint
+    same = S.ControlConstraint(example1.control.controllable,
+                               example1.control.observable)
+    cnf, _ = S.encode(1, prod, same, vt)
+    assert cnf.clauses == S.encode(1, prod, example1.control)[0].clauses[:-1]
+
+
 def test_single_state_fixture_solution(single):
     prod = product_of(single)
     assert prod.n_states == 1

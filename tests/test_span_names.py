@@ -14,9 +14,9 @@ from supobf.sat import SatSolver
 attack_mod = importlib.import_module("supobf.attack")
 obfuscate_mod = importlib.import_module("supobf.obfuscate")
 
-ATTACK_NAMES = ("validate_damage", "annotate_supervisor",
-                "generalized_product", "project_attacker_view",
-                "determinize_and_label", "non_attackable")
+ATTACK_NAMES = ("validate_damage", "generalized_product",
+                "project_attacker_view", "determinize_and_label",
+                "non_attackable")
 OBFUSCATE_NAMES = ("validate_damage", "dual_marked_product",
                    "canonical_key", "encode", "solve_instance",
                    "decode_model", "blocking_clause", "non_attackable",
@@ -122,8 +122,7 @@ def test_the_benchmark_recorder_calls_still_answer(example1):
     pf = example1
     product = S.dual_marked_product(pf.plant, pf.supervisor.automaton)
     assert product.n_states == 9
-    gp = S.generalized_product(pf.plant, S.annotate_supervisor(pf.supervisor),
-                               pf.damage, pf.attack)
+    gp = S.generalized_product(pf.plant, pf.supervisor, pf.damage, pf.attack)
     assert gp.n_states == 7
     verdict = S.non_attackable(pf.plant, pf.supervisor, pf.damage, pf.attack,
                                validate=True)

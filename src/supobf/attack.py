@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .automata import (AutomatonError, PartialDFA, _dot_quote, explore,
-                       is_total, path_labels)
+from .automata import (AutomatonError, PartialDFA, _dot_quote, is_total,
+                       path_labels)
 from .control import (AttackConstraint, Supervisor, control_command,
                       validate_damage)
 
@@ -44,14 +44,14 @@ class GPAutomaton(NamedTuple):
     numbered breadth-first from the initial core 0.
 
     ``view`` holds the closed-loop moves as the attacker sees them.
-    ``attack`` records, per (core, attackable event) with the event
-    plant-possible and supervisor-disabled, whether firing it inflicts
-    damage (success sink) or not (failure sink)."""
+    ``attack`` maps each attackable event, in alphabet order, to the cores
+    where it is plant-possible and supervisor-disabled, split in two sets:
+    those where firing it inflicts damage (success sink) and those where
+    it does not (failure sink)."""
 
     cores: tuple[tuple[int, int, int], ...]
     view: AttackerView
-    attack: dict       # (core, event) -> bool (True = success)
-    attack_events: tuple[str, ...]
+    attack: dict       # event -> (success cores, failure cores)
     component_names: tuple     # plant, supervisor and damage state names
 
     @property
@@ -71,9 +71,9 @@ def generalized_product(g: PartialDFA, s: Supervisor,
 
     A flat breadth-first loop that numbers the cores as :func:`explore`
     would, appends each move to the attacker view as it finds it, and
-    records each core's attack verdicts as it leaves the queue.  An
-    observable move into supervisor state ``x`` shows the attacker the
-    sorted control command of ``x``."""
+    records each core's attack verdicts, by event, as it leaves the
+    queue.  An observable move into supervisor state ``x`` shows the
+    attacker the sorted control command of ``x``."""
     sup = s.automaton
     if g.alphabet.events != h.alphabet.events or \
             g.alphabet.events != sup.alphabet.events:
@@ -90,18 +90,18 @@ def generalized_product(g: PartialDFA, s: Supervisor,
     commands = [tuple(sorted(control_command(s, x)))
                 for x in range(sup.n_states)]
     g_rows, h_rows, marked = g.delta, h.delta, h.marked
-    attack_events = tuple(e for e in g.alphabet.events if e in ac.attackable)
+    attack = {ev: (set(), set()) for ev in g.alphabet.events
+              if ev in ac.attackable}
     # per supervisor state: event -> (target, observation or None for epsilon)
     x_moves = [{ev: (x2, (seen[ev], commands[x2]) if ev in seen else None)
                 for ev, x2 in row.items()} for row in sup.delta]
-    disabled = [[ev for ev in attack_events if ev not in row]
-                for row in sup.delta]
+    disabled = [[ev for ev in attack if ev not in row] for row in sup.delta]
 
     # ``order`` grows while it is walked, which makes it the queue
     start = (g.initial, sup.initial, h.initial)
     index = {start: 0}
     order = [start]
-    eps, moves, attack = {}, {}, {}
+    eps, moves = {}, {}
     for src, (q, x, z) in enumerate(order):
         g_row, h_row, x_row = g_rows[q], h_rows[z], x_moves[x]
         for ev, q2 in g_row.items():
@@ -119,9 +119,10 @@ def generalized_product(g: PartialDFA, s: Supervisor,
                 moves.setdefault(src, {}).setdefault(move[1], []).append(dst)
         for ev in disabled[x]:
             if ev in g_row:
-                attack[(src, ev)] = h_row[ev] in marked
+                success, failure = attack[ev]
+                (success if h_row[ev] in marked else failure).add(src)
     return GPAutomaton(tuple(order), AttackerView(eps, moves), attack,
-                       attack_events, (g.names, sup.names, h.names))
+                       (g.names, sup.names, h.names))
 
 
 def project_attacker_view(gp: GPAutomaton) -> AttackerView:
@@ -158,39 +159,44 @@ def _closure(states, eps) -> frozenset[int]:
 
 def determinize_and_label(view: AttackerView, gp: GPAutomaton,
                           stop_at_label: bool = False) -> SubsetAutomaton:
-    """Subset construction with epsilon closure, in breadth-first order,
-    labelling each knowledge set as it is discovered.  With
-    ``stop_at_label`` the construction ends at the first set with a
-    non-empty label, which is then the last set of the result."""
+    """Subset construction with epsilon closure, labelling each knowledge
+    set as it is discovered: a flat breadth-first loop in the order of
+    :func:`~supobf.automata.explore`, each set's observations sorted.
+    With ``stop_at_label`` it ends right after the edge that discovers the
+    first set with a non-empty label, which is then the last set."""
     moves, eps = view.moves, view.eps  # a tuple field read costs more
+    # an event without a success core can label no set
+    verdicts = [(ev, success, failure)
+                for ev, (success, failure) in gp.attack.items() if success]
 
-    def successors(cur):
+    def label(cur) -> frozenset[str]:
+        return frozenset(ev for ev, success, failure in verdicts
+                         if not success.isdisjoint(cur)
+                         and failure.isdisjoint(cur))
+
+    start = _closure([0], eps)
+    index = {start: 0}
+    order, trans, labels = [start], {}, [label(start)]
+    # ``order`` grows while it is walked, which makes it the queue; under
+    # ``stop_at_label`` a labelled newest set ends the walk, and since sets
+    # are labelled when found, that is right after its discovering edge
+    for src, cur in enumerate(order):
+        if stop_at_label and labels[-1]:
+            break
         targets: dict[ObsEvent, set[int]] = {}
         for v in cur:
             for obs, dsts in moves.get(v, {}).items():
                 targets.setdefault(obs, set()).update(dsts)
         for obs in sorted(targets, key=lambda o: (o[0] or "", o[1])):
-            yield obs, _closure(targets[obs], eps)
-
-    # per attack event, the cores where firing it succeeds and fails; an
-    # event without a success core can label no set
-    success: dict[str, set[int]] = {}
-    failure: dict[str, set[int]] = {}
-    for (v, ev), ok in gp.attack.items():
-        (success if ok else failure).setdefault(ev, set()).add(v)
-    verdict_sets = [(ev, success[ev], failure.get(ev, set()))
-                    for ev in gp.attack_events if ev in success]
-    labels: list[frozenset[str]] = []
-
-    def label(cur) -> bool:
-        lab = frozenset(ev for ev, hit, miss in verdict_sets
-                        if not hit.isdisjoint(cur) and miss.isdisjoint(cur))
-        labels.append(lab)
-        return stop_at_label and bool(lab)
-
-    # ``explore`` calls ``label`` once per set in discovery order
-    order, trans = explore(_closure([0], eps), successors,
-                           stop=label)
+            target = _closure(targets[obs], eps)
+            dst = index.get(target)
+            if dst is None:
+                dst = index[target] = len(order)
+                order.append(target)
+                labels.append(label(target))
+            trans[(src, obs)] = dst
+            if stop_at_label and labels[-1]:
+                break
     return SubsetAutomaton(tuple(order), trans, tuple(labels))
 
 
@@ -322,11 +328,11 @@ def attackable_by_search(g: PartialDFA, s: Supervisor, h: PartialDFA,
             if not exhausted:
                 break
 
-    attack_events = [e for e in g.alphabet.events if e in ac.attackable]
+    attackable = [e for e in g.alphabet.events if e in ac.attackable]
     for node, string in sorted(rep.items(), key=lambda kv: (len(kv[1]), kv[1])):
         q, x, z, obs = node
         cls = groups[obs]
-        for ev in attack_events:
+        for ev in attackable:
             if g.step(q, ev) is None:
                 continue
             if sup.step(x, ev) is not None:

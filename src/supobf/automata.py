@@ -145,8 +145,7 @@ def is_total(p: PartialDFA) -> bool:
 
 
 def explore(start: Hashable,
-            successors: Callable[[Hashable], Iterable[tuple[Hashable, Hashable]]],
-            stop: Optional[Callable[[Hashable], bool]] = None
+            successors: Callable[[Hashable], Iterable[tuple[Hashable, Hashable]]]
             ) -> tuple[list, dict]:
     """Breadth-first exploration of the states reachable from ``start``.
 
@@ -155,22 +154,16 @@ def explore(start: Hashable,
     ``trans[(i, label)] = j`` for every pair yielded at ``order[i]``, with
     ``order[j]`` its target, inserted in the order the pairs were yielded.
     Products, subset automata and their renderings all inherit their
-    numbering from this order.  The check path's two walks,
-    ``validate_damage`` and ``generalized_product``, write this loop out
-    flat, in the same order: the callbacks and per-state lists of pairs
-    cost them about a third of their time.
-
-    ``stop``, when given, is called once on every state in discovery
-    order: on ``start``, then on each new target right after the edge that
-    discovered it is recorded.  The first true answer ends the exploration
-    there, so ``order`` ends with that state, ``trans`` ends with its
-    discovering edge, and both are prefixes of the full exploration.
+    numbering from this order.  The walks of the check path,
+    ``validate_damage``, ``generalized_product`` and
+    ``determinize_and_label``, write this loop out flat, in the same
+    order, which lets the first and the last stop early; the callbacks
+    and per-state lists of pairs cost the first two about a third of
+    their time.
     """
     index = {start: 0}
     order = [start]
     trans = {}
-    if stop is not None and stop(start):
-        return order, trans
     # ``order`` grows while it is walked, which makes it the queue
     for src, state in enumerate(order):
         for label, target in successors(state):
@@ -178,11 +171,7 @@ def explore(start: Hashable,
             if dst is None:
                 dst = index[target] = len(order)
                 order.append(target)
-                trans[(src, label)] = dst
-                if stop is not None and stop(target):
-                    return order, trans
-            else:
-                trans[(src, label)] = dst
+            trans[(src, label)] = dst
     return order, trans
 
 

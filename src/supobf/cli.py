@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 
@@ -36,6 +37,17 @@ def _digest(path: str) -> str:
 def _fmt_obs(obs) -> str:
     seen, cmd = obs
     return f"({seen or 'ε'}, {{{','.join(cmd)}}})"
+
+
+def _check_writable(*paths) -> None:
+    """Fail on an output path that cannot be written before any work is
+    done.  Opening for appending changes no file, and a file that the
+    probe created is removed again."""
+    for path in filter(None, paths):
+        existed = os.path.exists(path)
+        open(path, "a", encoding="utf-8").close()
+        if not existed:
+            os.remove(path)
 
 
 def _load(args) -> ProblemFile:
@@ -75,6 +87,7 @@ def cmd_closed_loop(args) -> int:
 
 def cmd_check(args) -> int:
     pf = _load(args)
+    _check_writable(args.dot)
     verdict = non_attackable(pf.plant, pf.supervisor, pf.damage, pf.attack)
     if args.dot:
         # only an attackable verdict's construction stopped short of the end
@@ -114,6 +127,7 @@ def cmd_synth_bp(args) -> int:
 
 def cmd_obfuscate(args) -> int:
     pf = _load(args)
+    _check_writable(args.out, args.json)
     started = time.perf_counter()
     req = ObfuscationRequest(pf.plant, pf.supervisor, pf.control, pf.attack,
                              pf.damage, n_max=args.nmax,

@@ -181,7 +181,8 @@ def validate_damage(h: PartialDFA, g: PartialDFA, s: Supervisor) -> DamageReport
 def stray_damage_string(h: PartialDFA,
                         g: PartialDFA) -> Optional[tuple[str, ...]]:
     """The first string in shortlex order over ``h``'s alphabet that ``h``
-    marks and the plant ``g`` cannot generate, or None.  The verification
+    marks and the plant ``g`` cannot generate, or None: the path to the
+    first stray pair that a full exploration discovers.  The verification
     ignores such strings; ``supobf validate`` warns about them."""
     g_rows, h_rows = g.delta, h.delta
 
@@ -191,8 +192,8 @@ def stray_damage_string(h: PartialDFA,
         g_row = g_rows[q] if q is not None else {}
         return [(ev, (g_row.get(ev), z2)) for ev, z2 in h_rows[z].items()]
 
-    def stray(pair):
-        return pair[0] is None and h.is_marked(pair[1])
-
-    order, trans = explore((g.initial, h.initial), successors, stop=stray)
-    return path_labels(trans, len(order) - 1) if stray(order[-1]) else None
+    order, trans = explore((g.initial, h.initial), successors)
+    for i, (q, z) in enumerate(order):
+        if q is None and h.is_marked(z):
+            return path_labels(trans, i)
+    return None

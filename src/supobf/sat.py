@@ -4,7 +4,8 @@ The backend contract expected by the encoding layer:
 
 * ``add_clause(lits)``: clauses may be added at any time, including after
   a satisfiable ``solve()`` (blocking clauses for model enumeration).  It
-  checks the literals, non-zero ``int``s and never ``bool``s, and, unless
+  checks the literals, non-zero ``int``s and never ``bool``s, all before
+  it reserves any variable, as ``solve`` does, and, unless
   the clause can be watched on the kept assumption levels (below), hands
   it to ``load_clauses``, the one place that folds root values in; a
   watched clause may keep literals false at the root, which no watch is
@@ -78,6 +79,13 @@ _ACT_DECAY = 1.0 / 0.95
 _ACT_LIMIT = 1e100
 
 
+def _check_literals(lits: list) -> None:
+    for lit in lits:
+        # ``True`` is an int too: an encoder constant left unfolded
+        if type(lit) is not int or lit == 0:
+            raise ValueError(f"bad literal {lit!r}")
+
+
 class SatSolver:
     def __init__(self):
         self.num_vars = 0
@@ -131,15 +139,14 @@ class SatSolver:
 
     def add_clause(self, lits: Iterable[int]) -> None:
         """Add a clause; call between solves to block models incrementally."""
+        lits = list(lits)
+        _check_literals(lits)  # before any variable is reserved
         # drop the free decisions; the levels of the last call's
         # assumptions stay (decision level k holds assumption k - 1)
         self._backtrack(len(self._assumed))
         seen = set()
         clause = []
         for lit in lits:
-            # ``True`` is an int too: an encoder constant left unfolded
-            if type(lit) is not int or lit == 0:
-                raise ValueError(f"bad literal {lit!r}")
             if -lit in seen:
                 return  # tautology
             if lit in seen:
@@ -390,9 +397,8 @@ class SatSolver:
         """Search for a model in which every literal of ``assumptions``
         holds; see the module docstring for the contract."""
         assumptions = list(assumptions)
+        _check_literals(assumptions)  # before any variable is reserved
         for lit in assumptions:
-            if type(lit) is not int or lit == 0:
-                raise ValueError(f"bad literal {lit!r}")
             self.reserve(abs(lit))
         self.stats["solves"] += 1
         if self._unsat:

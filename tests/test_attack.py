@@ -30,13 +30,12 @@ def permute_states(aut: S.PartialDFA, perm: list[int]) -> S.PartialDFA:
 def test_generalized_product_no_attackable_events(tri):
     gp = generalized_product(tri.plant, tri.supervisor, tri.damage, tri.attack)
     assert gp.attack == {}
-    assert gp.attack_events == ()
 
 
 def test_generalized_product_atk(atk):
     gp = generalized_product(atk.plant, atk.supervisor, atk.damage, atk.attack)
     assert gp.cores[0] == (0, 0, 0)
-    assert gp.attack[(0, "k")] is True  # success verdict from the start state
+    assert 0 in gp.attack["k"][0]  # success verdict from the start state
 
 
 def test_generalized_product_enabled_attack_event_has_no_verdict():
@@ -49,7 +48,7 @@ def test_generalized_product_enabled_attack_event_has_no_verdict():
                                      frozenset({1})))
     gp = generalized_product(plant, sup, damage,
                              S.AttackConstraint(frozenset("k"), frozenset("k")))
-    assert gp.attack == {}
+    assert gp.attack == {"k": (set(), set())}
 
 
 def explored_generalized_product(g, sup, h, ac):
@@ -85,11 +84,12 @@ def explored_generalized_product(g, sup, h, ac):
             eps.setdefault(src, []).append(dst)
         else:
             moves.setdefault(src, {}).setdefault(obs, []).append(dst)
-    attack_events = tuple(e for e in g.alphabet.events if e in ac.attackable)
-    attack = {(src, ev): h_rows[z][ev] in h.marked
-              for src, (q, x, z) in enumerate(order)
-              for ev in attack_events
-              if ev in g_rows[q] and ev not in x_rows[x]}
+    attack = {ev: (set(), set()) for ev in g.alphabet.events
+              if ev in ac.attackable}
+    for src, (q, x, z) in enumerate(order):
+        for ev, (success, failure) in attack.items():
+            if ev in g_rows[q] and ev not in x_rows[x]:
+                (success if h_rows[z][ev] in h.marked else failure).add(src)
     return order, (eps, moves), attack
 
 
@@ -112,8 +112,84 @@ def test_generalized_product_numbers_as_explore_does():
         assert gp.cores == tuple(order)
         assert view_items(gp.view.eps, gp.view.moves) == view_items(*view)
         assert list(gp.attack.items()) == list(verdict.items())
-        verdicts += len(verdict)
+        verdicts += sum(len(success) + len(failure)
+                        for success, failure in verdict.values())
     assert verdicts >= 100
+
+
+def explored_subset_construction(gp, g, sup, h, ac, stop_at_label):
+    """The subset construction as a successor function passed to
+    ``explore``: the reference for the numbering, the ``trans`` order and
+    the labels of the flat loop.  Each label is read from the cores
+    through ``step``, never from ``gp.attack``.  Stopped, it is the prefix
+    through the first labelled set and that set's discovering edge."""
+    eps, moves = gp.view.eps, gp.view.moves
+    aut = sup.automaton
+
+    def closure(states):
+        seen, stack = set(states), list(states)
+        while stack:
+            for w in eps.get(stack.pop(), ()):
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return frozenset(seen)
+
+    def successors(cur):
+        targets = {}
+        for v in cur:
+            for obs, dsts in moves.get(v, {}).items():
+                targets.setdefault(obs, set()).update(dsts)
+        return [(obs, closure(targets[obs]))
+                for obs in sorted(targets, key=lambda o: (o[0] or "", o[1]))]
+
+    def damages(cur, ev):
+        """Whether firing ``ev`` damages, per core of ``cur`` where the
+        plant can and the supervisor does not enable it."""
+        return {h.is_marked(h.step(z, ev))
+                for q, x, z in (gp.cores[v] for v in cur)
+                if g.step(q, ev) is not None and aut.step(x, ev) is None}
+
+    order, trans = explore(closure([0]), successors)
+    attackable = [ev for ev in g.alphabet.events if ev in ac.attackable]
+    labels = [frozenset(ev for ev in attackable if damages(cur, ev) == {True})
+              for cur in order]
+    if stop_at_label and any(labels):
+        last = next(i for i, lab in enumerate(labels) if lab)
+        edges = list(trans.items())
+        # the start has no discovering edge
+        cut = last and 1 + next(k for k, (_, dst) in enumerate(edges)
+                                if dst == last)
+        order, trans, labels = (order[:last + 1], dict(edges[:cut]),
+                                labels[:last + 1])
+    return order, trans, labels
+
+
+def test_subset_construction_numbers_as_explore_does():
+    # the flat loop must number, order and label the knowledge sets as
+    # the construction through ``explore`` does, stopped or not
+    fixtures = [load_fixture(name) for name in
+                ("atk", "example1", "example1_obfuscated", "perf", "single",
+                 "tri")]
+    instances = [(pf.plant, pf.supervisor, pf.damage, pf.attack)
+                 for pf in fixtures]
+    rng = random.Random(6262)
+    instances += [random_damaged_instance(rng, max_states=5)
+                  for _ in range(200)]
+    stopped_short = 0
+    for plant, sup, damage, attack in instances:
+        gp = generalized_product(plant, sup, damage, attack)
+        sizes = []
+        for stop in (False, True):
+            sub = determinize_and_label(gp.view, gp, stop_at_label=stop)
+            order, trans, labels = explored_subset_construction(
+                gp, plant, sup, damage, attack, stop)
+            assert sub.subsets == tuple(order)
+            assert list(sub.trans.items()) == list(trans.items())
+            assert sub.labels == tuple(labels)
+            sizes.append(len(order))
+        stopped_short += sizes[1] < sizes[0]
+    assert stopped_short >= 15
 
 
 def test_generalized_product_requires_total_marked_damage(atk):

@@ -263,25 +263,6 @@ def test_explore_order_and_transitions():
                                    ((2, "a"), 2), ((2, "b"), 0)]
     assert explore(7, lambda q: ()) == ([7], {})
 
-    # ``stop`` sees every state once, in discovery order, and ends the
-    # search right after the edge that discovered the first accepted one
-    calls.clear()
-    asked = []
-
-    def stop(state):
-        asked.append(state)
-        return state == "w"
-
-    early, early_trans = explore("s", successors, stop)
-    assert early == order and asked == order
-    assert calls == ["s", "u"]  # u's edge to t is never taken
-    assert list(early_trans.items()) == [((0, "b"), 1), ((0, "a"), 2),
-                                         ((1, "c"), 3)]
-    calls.clear()
-    assert explore("s", successors, lambda q: True) == (["s"], {})
-    assert calls == []
-    assert explore("s", successors, lambda q: False) == (order, trans)
-
 
 def _reinserted(p, items):
     return S.PartialDFA(p.alphabet, p.names, dict(items), p.initial, p.marked)

@@ -233,13 +233,20 @@ def test_obfuscate_out_that_cannot_be_written_prints_no_report(tmp_path,
 def test_unwritable_output_path_is_input_error(command, flag, tmp_path,
                                                capsys):
     out = tmp_path / "missing" / "out"
-    extra = ["-n", "2", "--limit", "1"] if command == "synth-bp" else []
+    # a writable output given with the unwritable one is not left behind
+    written = tmp_path / "run.json"
+    extra = {"synth-bp": ["-n", "2", "--limit", "1"],
+             "obfuscate": ["--json", str(written)] if flag == "--out" else [],
+             }.get(command, [])
     assert main([command, fixture("tri"), flag, str(out), *extra]) == 2
     # an exception that escaped main would fail the test before this
     err = capsys.readouterr().err
     errors = [line for line in err.splitlines() if "error" in line]
     assert len(errors) == 1 and errors[0].startswith("error:")
     assert "Traceback" not in err and not out.parent.exists()
+    # the path is checked before the search, which prints a line per size
+    assert not re.search(r"^size \d+:", err, re.MULTILINE)
+    assert not written.exists()
 
 
 def dot_labels(text: str) -> list[str]:

@@ -13,8 +13,7 @@ from supobf.attack import AttackerView
 
 RECORDS = {
     AttackerView: ("eps", "moves"),
-    supobf.GPAutomaton: ("cores", "view", "attack", "attack_events",
-                         "component_names"),
+    supobf.GPAutomaton: ("cores", "view", "attack", "component_names"),
     supobf.SubsetAutomaton: ("subsets", "trans", "labels"),
     supobf.AttackWitness: ("observations", "subset", "event"),
     supobf.AttackVerdict: ("non_attackable", "witness", "subset_automaton",

@@ -146,14 +146,13 @@ def test_bad_literal_rejected():
 def test_bool_literal_rejected(lit):
     # the encoder folds constant literals to True and False; one that
     # escaped the fold must not pass as variable 1 (or as 0)
+    # every literal is checked before any variable is reserved
     s = SatSolver()
-    with pytest.raises(ValueError, match="bad literal"):
-        s.add_clause([lit])
-    with pytest.raises(ValueError, match="bad literal"):
-        s.solve([lit])
-    assert s.num_vars == 0 and type(s.num_vars) is int
-    with pytest.raises(ValueError, match="bad literal"):
-        s.add_clause([2, lit])
+    for call, lits in ((s.add_clause, [lit]), (s.solve, [lit]),
+                       (s.add_clause, [2, lit]), (s.solve, [3, lit])):
+        with pytest.raises(ValueError, match="bad literal"):
+            call(lits)
+        assert s.num_vars == 0 and type(s.num_vars) is int
 
 
 def random_cnf(rng, max_vars, max_clauses):

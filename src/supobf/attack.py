@@ -28,29 +28,25 @@ Command = tuple[str, ...]          # sorted event tuple
 ObsEvent = tuple[Optional[str], Command]   # (seen event or None, command)
 
 
-class AttackerView(NamedTuple):
-    """The generalized product's moves as the attacker sees them: bare
-    supervisor-unobservable moves are epsilon moves, observable ones keep
-    their (seen event, command) pair and may turn nondeterministic.
-    Successor lists keep the order in which the product found its moves
-    and may repeat a state; the subset construction reads them as sets."""
-
-    eps: dict          # state -> list of epsilon successors
-    moves: dict        # state -> {ObsEvent: list of successors}
-
-
 class GPAutomaton(NamedTuple):
     """Generalized product over core states (plant, supervisor, damage),
     numbered breadth-first from the initial core 0.
 
-    ``view`` holds the closed-loop moves as the attacker sees them.
+    ``eps`` and ``moves`` are the closed-loop moves as the attacker sees
+    them: bare supervisor-unobservable moves are epsilon moves, observable
+    ones keep their (seen event, command) pair and may turn
+    nondeterministic.  Successor lists keep the order in which the product
+    found its moves and may repeat a state; the subset construction reads
+    them as sets.
+
     ``attack`` maps each attackable event, in alphabet order, to the cores
     where it is plant-possible and supervisor-disabled, split in two sets:
     those where firing it inflicts damage (success sink) and those where
     it does not (failure sink)."""
 
     cores: tuple[tuple[int, int, int], ...]
-    view: AttackerView
+    eps: dict          # core -> list of epsilon successors
+    moves: dict        # core -> {ObsEvent: list of successors}
     attack: dict       # event -> (success cores, failure cores)
     component_names: tuple     # plant, supervisor and damage state names
 
@@ -121,14 +117,15 @@ def generalized_product(g: PartialDFA, s: Supervisor,
             if ev in g_row:
                 success, failure = attack[ev]
                 (success if h_row[ev] in marked else failure).add(src)
-    return GPAutomaton(tuple(order), AttackerView(eps, moves), attack,
+    return GPAutomaton(tuple(order), eps, moves, attack,
                        (g.names, sup.names, h.names))
 
 
-def project_attacker_view(gp: GPAutomaton) -> AttackerView:
-    """The view :func:`generalized_product` recorded; the call stays for
-    the tracer's ``attack.view`` span and ``tests/test_span_names.py``."""
-    return gp.view
+def project_attacker_view(gp: GPAutomaton) -> GPAutomaton:
+    """The product itself, which records the attacker's view; the call
+    stays for the tracer's ``attack.view`` span and
+    ``tests/test_span_names.py``."""
+    return gp
 
 
 class SubsetAutomaton(NamedTuple):
@@ -157,14 +154,14 @@ def _closure(states, eps) -> frozenset[int]:
     return frozenset(seen)
 
 
-def determinize_and_label(view: AttackerView, gp: GPAutomaton,
+def determinize_and_label(gp: GPAutomaton, *,
                           stop_at_label: bool = False) -> SubsetAutomaton:
     """Subset construction with epsilon closure, labelling each knowledge
     set as it is discovered: a flat breadth-first loop in the order of
     :func:`~supobf.automata.explore`, each set's observations sorted.
     With ``stop_at_label`` it ends right after the edge that discovers the
     first set with a non-empty label, which is then the last set."""
-    moves, eps = view.moves, view.eps  # a tuple field read costs more
+    moves, eps = gp.moves, gp.eps  # a tuple field read costs more
     # an event without a success core can label no set
     verdicts = [(ev, success, failure)
                 for ev, (success, failure) in gp.attack.items() if success]
@@ -233,7 +230,7 @@ def non_attackable(g: PartialDFA, s: Supervisor, h: PartialDFA,
         if not report.ok:
             raise AutomatonError(report.problem)
     gp = generalized_product(g, s, h, ac)
-    sub = determinize_and_label(project_attacker_view(gp), gp,
+    sub = determinize_and_label(project_attacker_view(gp),
                                 stop_at_label=True)
     last = len(sub.subsets) - 1
     if not sub.labels[last]:

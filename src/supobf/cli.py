@@ -21,17 +21,12 @@ from .control import closed_loop, stray_damage_string, validate_damage
 from .obfuscate import (ObfuscationRequest, check_enumeration_limit,
                         enumerate_instance, obfuscate)
 from .problemfile import (ProblemFile, emit_automaton_section, emit_problem,
-                          load_problem)
+                          load_problem, parse_problem)
 from .satenc import encode, export_dimacs
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_ERROR = 2
-
-
-def _digest(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def _fmt_obs(obs) -> str:
@@ -93,7 +88,7 @@ def cmd_check(args) -> int:
         # only an attackable verdict's construction stopped short of the end
         gp, sub = verdict.product, verdict.subset_automaton
         if not verdict.non_attackable:
-            sub = determinize_and_label(gp.view, gp)
+            sub = determinize_and_label(gp)
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(subset_to_dot(sub, gp))
     if verdict.non_attackable:
@@ -126,7 +121,10 @@ def cmd_synth_bp(args) -> int:
 
 
 def cmd_obfuscate(args) -> int:
-    pf = _load(args)
+    # read once, so that the digest describes the bytes that were parsed
+    with open(args.file, "rb") as fh:
+        data = fh.read()
+    pf = parse_problem(data.decode("utf-8"), args.repair_selfloops)
     _check_writable(args.out, args.json)
     started = time.perf_counter()
     req = ObfuscationRequest(pf.plant, pf.supervisor, pf.control, pf.attack,
@@ -144,7 +142,7 @@ def cmd_obfuscate(args) -> int:
 
     summary = {
         "command": "obfuscate",
-        "input_sha256": _digest(args.file),
+        "input_sha256": hashlib.sha256(data).hexdigest(),
         "options": {"nmax": result.n_max, "limit": args.limit},
         "found": result.found,
         "size": result.size,

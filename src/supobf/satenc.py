@@ -67,8 +67,7 @@ them (unit clauses early, so that loading folds them into what follows):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .automata import AutomatonError, PartialDFA
 from .control import ControlConstraint
@@ -79,8 +78,7 @@ Clause = list[int]
 DUMP = -1  # the row index of the dump state, in every table
 
 
-@dataclass
-class CnfInstance:
+class CnfInstance(NamedTuple):
     """Clauses over variables ``1..num_vars``, each well formed: distinct
     non-zero literals within that range, none together with its negation.
     The encoder's clauses are so by construction; :func:`parse_dimacs`,
@@ -88,7 +86,7 @@ class CnfInstance:
     :func:`solve_instance` relies on it."""
 
     num_vars: int
-    clauses: list[Clause] = field(default_factory=list)
+    clauses: Sequence[Clause] = ()
 
 
 class VarTable:
@@ -323,11 +321,12 @@ def encode(n: int, product: PartialDFA, constraint: ControlConstraint,
     the transition variables, are the breadth-first numbered supervisors
     of exactly ``n`` reachable states, one per isomorphism class.
 
-    With ``vt``, which must be built for ``constraint``: the table is
-    extended in place to ``n`` rows and only the added rows' clauses are
-    returned, without the unit ``c(n)``, so a solver holding the table's
-    earlier clauses can take them and grow again later.  Solved under the
-    assumption ``c(n)``, it then has the models above.
+    With ``vt``, which must be built for ``product`` and ``constraint``
+    (both checked before the table grows): the table is extended in place
+    to ``n`` rows and only the added rows' clauses are returned, without
+    the unit ``c(n)``, so a solver holding the table's earlier clauses can
+    take them and grow again later.  Solved under the assumption ``c(n)``,
+    it then has the models above.
     """
     if n < 1:
         raise AutomatonError("state bound must be at least 1")
@@ -336,6 +335,8 @@ def encode(n: int, product: PartialDFA, constraint: ControlConstraint,
         vt = VarTable(product.alphabet, constraint, product.marked)
     elif constraint != vt.constraint:
         raise AutomatonError("variable table built for a different constraint")
+    elif vt.mark_a != product.marked:
+        raise AutomatonError("variable table built for a different product")
     clauses = []
     while vt.n < n:
         k = vt.add_row()

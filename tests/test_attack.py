@@ -110,7 +110,7 @@ def test_generalized_product_numbers_as_explore_does():
         order, view, verdict = explored_generalized_product(plant, sup,
                                                              damage, attack)
         assert gp.cores == tuple(order)
-        assert view_items(gp.view.eps, gp.view.moves) == view_items(*view)
+        assert view_items(gp.eps, gp.moves) == view_items(*view)
         assert list(gp.attack.items()) == list(verdict.items())
         verdicts += sum(len(success) + len(failure)
                         for success, failure in verdict.values())
@@ -123,7 +123,7 @@ def explored_subset_construction(gp, g, sup, h, ac, stop_at_label):
     the labels of the flat loop.  Each label is read from the cores
     through ``step``, never from ``gp.attack``.  Stopped, it is the prefix
     through the first labelled set and that set's discovering edge."""
-    eps, moves = gp.view.eps, gp.view.moves
+    eps, moves = gp.eps, gp.moves
     aut = sup.automaton
 
     def closure(states):
@@ -181,7 +181,7 @@ def test_subset_construction_numbers_as_explore_does():
         gp = generalized_product(plant, sup, damage, attack)
         sizes = []
         for stop in (False, True):
-            sub = determinize_and_label(gp.view, gp, stop_at_label=stop)
+            sub = determinize_and_label(gp, stop_at_label=stop)
             order, trans, labels = explored_subset_construction(
                 gp, plant, sup, damage, attack, stop)
             assert sub.subsets == tuple(order)
@@ -221,7 +221,7 @@ def test_attacker_projection_atk_command_update(atk):
 
 def test_determinize_singletons_without_epsilon(atk):
     gp = generalized_product(atk.plant, atk.supervisor, atk.damage, atk.attack)
-    sub = determinize_and_label(project_attacker_view(gp), gp)
+    sub = determinize_and_label(project_attacker_view(gp))
     assert all(len(y) == 1 for y in sub.subsets)
     assert sub.subsets[0] == frozenset({0})
     assert sub.labels[0] == frozenset({"k"})
@@ -240,7 +240,7 @@ def test_label_blocked_by_failure_state():
         {(0, "a"): 1, (0, "b"): 2, (1, "k"): 3}, 0, frozenset({3})))
     ac = S.AttackConstraint(frozenset("k"), frozenset("k"))
     gp = generalized_product(plant, sup, damage, ac)
-    sub = determinize_and_label(project_attacker_view(gp), gp)
+    sub = determinize_and_label(project_attacker_view(gp))
     # a and b are attacker-invisible and lead to the same command, so the
     # estimate contains both continuations; the failing branch vetoes k
     merged = [y for y in sub.subsets if len(y) == 2]
@@ -287,7 +287,7 @@ def test_equal_commands_merge_attacker_estimates(example1, example1_obfuscated):
     # command and the two continuations collapse into one knowledge set
     def subsets_after_ac(pf):
         gp = generalized_product(pf.plant, pf.supervisor, pf.damage, pf.attack)
-        sub = determinize_and_label(project_attacker_view(gp), gp)
+        sub = determinize_and_label(project_attacker_view(gp))
         # walk: initial --(ε,V(a))--> --(c,V(ac))--> then branch
         y1 = sub.trans[(0, (None, ("b", "c", "d")))]
         y2 = sub.trans[(y1, ("c", ("a", "b", "d")))]
@@ -622,7 +622,7 @@ def test_subset_states_match_oracle_observation_classes(atk, example1):
     # oracle's observation grouping discovers for some observation
     for pf in (atk, example1):
         gp = generalized_product(pf.plant, pf.supervisor, pf.damage, pf.attack)
-        sub = determinize_and_label(project_attacker_view(gp), gp)
+        sub = determinize_and_label(project_attacker_view(gp))
         core_sets = {frozenset(gp.cores[v] for v in y) for y in sub.subsets}
 
         sup = pf.supervisor.automaton
@@ -657,7 +657,7 @@ def test_subset_states_match_oracle_observation_classes(atk, example1):
 
 def test_subset_dot_highlights_labels(atk):
     gp = generalized_product(atk.plant, atk.supervisor, atk.damage, atk.attack)
-    sub = determinize_and_label(project_attacker_view(gp), gp)
+    sub = determinize_and_label(project_attacker_view(gp))
     dot = S.subset_to_dot(sub, gp)
     assert "lightcoral" in dot and "attack: k" in dot
 
@@ -691,11 +691,11 @@ def test_early_stop_matches_full_construction():
     rng = random.Random(5150)
     instances += [random_damaged_instance(rng, max_states=5)
                   for _ in range(200)]
-    attackable = 0
+    attackable = stopped_short = 0
     for plant, sup, damage, attack in instances:
         verdict = S.non_attackable(plant, sup, damage, attack)
         gp = verdict.product
-        full = determinize_and_label(project_attacker_view(gp), gp)
+        full = determinize_and_label(project_attacker_view(gp))
         early = verdict.subset_automaton
         n = len(early.subsets)
         assert early.subsets == full.subsets[:n]
@@ -708,7 +708,10 @@ def test_early_stop_matches_full_construction():
         if verdict.non_attackable:
             assert early == full
         attackable += not verdict.non_attackable
+        stopped_short += n < len(full.subsets)
     assert attackable >= 30
+    # a full construction that stopped early as well would pass the above
+    assert stopped_short >= 20
 
 
 def test_subset_construction_ignores_the_order_of_view_successors():
@@ -735,14 +738,13 @@ def test_subset_construction_ignores_the_order_of_view_successors():
 
     for plant, sup, damage, attack in instances:
         gp = generalized_product(plant, sup, damage, attack)
-        view = project_attacker_view(gp)
-        shuffled = view._replace(
-            eps={v: mixed(dsts) for v, dsts in view.eps.items()},
+        shuffled = gp._replace(
+            eps={v: mixed(dsts) for v, dsts in gp.eps.items()},
             moves={v: {obs: mixed(dsts) for obs, dsts in mixed(out.items())}
-                   for v, out in view.moves.items()})
+                   for v, out in gp.moves.items()})
         for stop in (False, True):
-            a = determinize_and_label(view, gp, stop_at_label=stop)
-            b = determinize_and_label(shuffled, gp, stop_at_label=stop)
+            a = determinize_and_label(gp, stop_at_label=stop)
+            b = determinize_and_label(shuffled, stop_at_label=stop)
             assert a.subsets == b.subsets
             assert list(a.trans.items()) == list(b.trans.items())
             assert a.labels == b.labels

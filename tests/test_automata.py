@@ -317,7 +317,7 @@ def test_products_do_not_depend_on_the_insertion_order_of_trans():
             views.append((
                 loop.names, list(loop.trans.items()), loop.marked,
                 dm.names, list(dm.trans.items()), dm.marked,
-                gp.names, gp.cores, view_items(gp.view.eps, gp.view.moves),
+                gp.names, gp.cores, view_items(gp.eps, gp.moves),
                 list(gp.attack.items()), witness,
                 S.canonical_key(x), S.reachable_states(x)))
         assert views[0] == views[1]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import sys
@@ -58,7 +59,7 @@ def test_check_dot_renders_the_verdict(tmp_path, capsys):
     assert "attack: k" in text and "fillcolor=lightcoral" in text
     pf = load_fixture("atk")
     gp = S.generalized_product(pf.plant, pf.supervisor, pf.damage, pf.attack)
-    sub = S.determinize_and_label(S.project_attacker_view(gp), gp)
+    sub = S.determinize_and_label(gp)
     assert dot.read_bytes() == S.subset_to_dot(sub, gp).encode("utf-8")
 
 
@@ -189,6 +190,26 @@ def test_obfuscate_json_matches_golden(name, tmp_path):
     out = tmp_path / "run.json"
     main(["obfuscate", fixture(name), "--json", str(out)])
     assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+def test_obfuscate_json_hashes_the_bytes_it_parsed(tmp_path, monkeypatch):
+    prob = tmp_path / "tri.prob"
+    original = (FIXTURES / "tri.prob").read_bytes()
+    prob.write_bytes(original)
+    search = supobf.cli.obfuscate
+
+    def edit_then_search(*args, **kwargs):
+        # the input changes on disk after it was parsed
+        with open(prob, "ab") as fh:
+            fh.write(b"# edited\n")
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(supobf.cli, "obfuscate", edit_then_search)
+    out = tmp_path / "run.json"
+    assert main(["obfuscate", str(prob), "--json", str(out)]) == 0
+    summary = json.loads(out.read_text(encoding="utf-8"))
+    assert summary["input_sha256"] == hashlib.sha256(original).hexdigest()
+    assert prob.read_bytes() != original
 
 
 @pytest.mark.parametrize("name", GOLDEN_NAMES)

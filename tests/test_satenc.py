@@ -206,6 +206,12 @@ def test_encode_rejects_a_table_built_for_another_constraint(example1):
     with pytest.raises(S.AutomatonError, match="different constraint"):
         S.encode(1, prod, other, vt)
     assert vt.n == 0
+    # the same product with one A-pair unmarked is another product
+    unmarked = S.PartialDFA(prod.alphabet, prod.names, prod.trans,
+                            prod.initial, prod.marked - {max(prod.marked)})
+    with pytest.raises(S.AutomatonError, match="different product"):
+        S.encode(1, unmarked, example1.control, vt)
+    assert vt.n == vt.num_vars == 0
     # an equal constraint is the same constraint
     same = S.ControlConstraint(example1.control.controllable,
                                example1.control.observable)

@@ -1,13 +1,14 @@
 """Non-attackability verification for command-eavesdropping attackers.
 
 Pipeline: build the generalized product of plant, supervisor and damage
-automaton (with success/failure verdict sinks for attack moves) that
-records each move as the attacker sees it, with the control command
-(:func:`~supobf.control.control_command`) the supervisor issues at the
-move's target, determinize that view with epsilon closure, and label each
-knowledge set with the attack events that are guaranteed to succeed from
-it.  The verdict stops the determinization at the first labelled
-knowledge set.
+automaton, which records each move as the attacker sees it, with the
+control command (:func:`~supobf.control.control_command`) the supervisor
+issues at the move's target, and each attack event's success and failure
+cores; check the damage automaton against the product's cores, so a check
+that passes walks the (plant, supervisor, damage) triples once; then
+determinize the view with epsilon closure, label each knowledge set with
+the attack events that are guaranteed to succeed from it, and stop at the
+first labelled set.
 
 The attacker sees a pair per supervisor-observable event: the event itself
 when it is attacker-observable (else an epsilon placeholder) and the fresh
@@ -71,13 +72,14 @@ def generalized_product(g: PartialDFA, s: Supervisor,
     queue.  An observable move into supervisor state ``x`` shows the
     attacker the sorted control command of ``x``."""
     sup = s.automaton
-    if g.alphabet.events != h.alphabet.events or \
-            g.alphabet.events != sup.alphabet.events:
-        raise AutomatonError("plant, supervisor and damage must share an alphabet")
-    if not is_total(h):
-        raise AutomatonError("damage automaton must be total")
+    if g.alphabet.events != sup.alphabet.events:
+        raise AutomatonError("operands must share an alphabet")
     if h.marked is None:
         raise AutomatonError("damage automaton needs an explicit marked set")
+    if not is_total(h):
+        raise AutomatonError("damage automaton is not total")
+    if h.alphabet.events != g.alphabet.events:
+        raise AutomatonError("plant, supervisor and damage must share an alphabet")
     ac.check_against(s.constraint)
 
     # what the attacker sees of each supervisor-observable event
@@ -225,11 +227,11 @@ def non_attackable(g: PartialDFA, s: Supervisor, h: PartialDFA,
     attack label.  On the false verdict, the witness carries a shortest
     observation sequence to the first labelled set in breadth-first order
     and the least event of its label."""
+    gp = generalized_product(g, s, h, ac)
     if validate:
-        report = validate_damage(h, g, s)
+        report = validate_damage(h, g, s, gp.cores)
         if not report.ok:
             raise AutomatonError(report.problem)
-    gp = generalized_product(g, s, h, ac)
     sub = determinize_and_label(project_attacker_view(gp),
                                 stop_at_label=True)
     last = len(sub.subsets) - 1
@@ -315,15 +317,10 @@ def attackable_by_search(g: PartialDFA, s: Supervisor, h: PartialDFA,
                 nxt_frontier.append(node)
                 seen_count += 1
         frontier = nxt_frontier
-    if frontier:
-        # strings of exactly len_bound length remained extensible
-        for (q, x, z, obs) in frontier:
-            for ev in g.alphabet.events:
-                if g.step(q, ev) is not None and sup.step(x, ev) is not None:
-                    exhausted = False
-                    break
-            if not exhausted:
-                break
+    # strings of exactly len_bound length that remain extensible
+    if any(g.step(q, ev) is not None and sup.step(x, ev) is not None
+           for q, x, _, _ in frontier for ev in g.alphabet.events):
+        exhausted = False
 
     attackable = [e for e in g.alphabet.events if e in ac.attackable]
     for node, string in sorted(rep.items(), key=lambda kv: (len(kv[1]), kv[1])):
@@ -338,12 +335,8 @@ def attackable_by_search(g: PartialDFA, s: Supervisor, h: PartialDFA,
                 continue
             # every observation-equivalent, plant-possible continuation
             # must be damaging as well
-            refuted = False
-            for (q2, x2, z2) in cls:
-                if g.step(q2, ev) is not None and not h.is_marked(h.step(z2, ev)):
-                    refuted = True
-                    break
-            if not refuted:
+            if all(g.step(q2, ev) is None or h.is_marked(h.step(z2, ev))
+                   for q2, _, z2 in cls):
                 return OracleResult(True, True, exhausted, (string, ev), seen_count)
     return OracleResult(False, exhausted, exhausted, None, seen_count)
 

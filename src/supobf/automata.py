@@ -154,12 +154,12 @@ def explore(start: Hashable,
     ``trans[(i, label)] = j`` for every pair yielded at ``order[i]``, with
     ``order[j]`` its target, inserted in the order the pairs were yielded.
     Products, subset automata and their renderings all inherit their
-    numbering from this order.  The walks of the check path,
-    ``validate_damage``, ``generalized_product`` and
-    ``determinize_and_label``, write this loop out flat, in the same
-    order, which lets the first and the last stop early; the callbacks
-    and per-state lists of pairs cost the first two about a third of
-    their time.
+    numbering from this order.  ``validate_damage``,
+    ``generalized_product`` and ``determinize_and_label`` write this loop
+    out flat, in the same order; a check that passes walks the triples
+    once, in the product, whose cores the damage check then scans.  The
+    callbacks and per-state lists of pairs would cost the product about
+    a third of its time.
     """
     index = {start: 0}
     order = [start]

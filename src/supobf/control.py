@@ -134,25 +134,31 @@ class DamageReport(NamedTuple):
         return self.problem is None
 
 
-def validate_damage(h: PartialDFA, g: PartialDFA, s: Supervisor) -> DamageReport:
+def validate_damage(h: PartialDFA, g: PartialDFA, s: Supervisor,
+                    cores: Optional[tuple] = None) -> DamageReport:
     """Check a damage automaton against the plant ``g`` under ``s``.
 
     The plant and supervisor must share an alphabet and ``h`` needs a
     marked set; then the check passes iff ``h`` is total and no
     closed-loop string reaches a marked state of ``h``.  The witness is
     the first such string in shortlex order over ``h``'s alphabet, found
-    by a breadth-first walk over the (plant, supervisor, damage) triples,
-    so the closed loop is never built.  The walk is :func:`explore`'s,
-    written out as a flat loop in the same order, and it keeps only each
-    triple's discovering edge, all that :func:`path_labels` reads.  A
-    check that passes raises last if ``h``'s alphabet is not the plant's.
+    by a flat breadth-first walk over the (plant, supervisor, damage)
+    triples in :func:`explore`'s order that keeps only each triple's
+    discovering edge, all :func:`path_labels` reads.  A check that passes
+    raises last if ``h``'s alphabet is not the plant's.  Given the
+    ``cores`` of the generalized product of the same automata, exactly
+    the triples the walk reaches, it relies on the input checks that
+    product made and walks only if a core's damage state is marked.
     """
     sup = s.automaton
-    if g.alphabet.events != sup.alphabet.events:
+    if cores is not None:
+        if h.marked.isdisjoint({z for _, _, z in cores}):
+            return DamageReport()
+    elif g.alphabet.events != sup.alphabet.events:
         raise AutomatonError("operands must share an alphabet")
-    if h.marked is None:
+    elif h.marked is None:
         raise AutomatonError("damage automaton needs an explicit marked set")
-    if not is_total(h):
+    elif not is_total(h):
         return DamageReport("damage automaton is not total")
     g_rows, x_rows, h_rows, marked = g.delta, sup.delta, h.delta, h.marked
     # ``order`` grows while it is walked, which makes it the queue; the

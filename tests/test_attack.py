@@ -8,12 +8,15 @@ from pathlib import Path
 import pytest
 
 import supobf as S
+import supobf.attack
+import supobf.control
 from supobf.attack import (determinize_and_label, generalized_product,
                            project_attacker_view)
 from supobf.automata import explore
 from supobf.problemfile import ProblemFile, emit_problem
-from conftest import (load_fixture, random_attack_instance,
-                      random_damaged_instance, view_items)
+from conftest import (load_fixture, random_alphabet, random_attack_instance,
+                      random_damage, random_damaged_instance, random_plant,
+                      random_supervisor_automaton, view_items)
 
 
 def permute_states(aut: S.PartialDFA, perm: list[int]) -> S.PartialDFA:
@@ -361,6 +364,68 @@ def test_alphabet_mismatch_reported_before_the_damage_faults(atk):
         assert str(info.value) == "operands must share an alphabet"
 
 
+def test_product_input_errors_come_before_a_reached_damage_string(atk):
+    # "a" reaches the marked z1 in the closed loop, and either the damage
+    # automaton lists the events in another order or the attack
+    # constraint names an event the supervisor cannot control: the
+    # product's input check fails before the damage check reads its cores
+    alph = atk.plant.alphabet
+    flipped = S.Alphabet(tuple(reversed(alph.events)))
+    reaching = [S.totalize(S.PartialDFA(a, ("z0", "z1"), {(0, "a"): 1}, 0,
+                                        frozenset({1})))
+                for a in (alph, flipped)]
+    foreign = S.AttackConstraint(frozenset({"e"}), frozenset({"e"}))
+    with pytest.raises(S.AutomatonError,
+                       match="^closed loop reaches a damage string$"):
+        S.non_attackable(atk.plant, atk.supervisor, reaching[0], atk.attack)
+    for h, ac, message in (
+            (reaching[1], atk.attack,
+             "plant, supervisor and damage must share an alphabet"),
+            (reaching[0], foreign, "attackable events must be controllable")):
+        with pytest.raises(S.AutomatonError) as info:
+            S.non_attackable(atk.plant, atk.supervisor, h, ac)
+        assert str(info.value) == message
+
+
+def test_check_tests_the_damage_automaton_once(monkeypatch, example1):
+    # the product checks totality, and the damage check relies on it
+    calls = []
+    for mod in (supobf.control, supobf.attack):
+        def counted(h, name=mod.__name__, is_total=mod.is_total):
+            calls.append(name)
+            return is_total(h)
+        monkeypatch.setattr(mod, "is_total", counted)
+    pf = example1
+    S.non_attackable(pf.plant, pf.supervisor, pf.damage, pf.attack,
+                     validate=True)
+    assert calls == ["supobf.attack"]
+
+
+def test_damage_check_on_the_product_cores_matches_the_walk():
+    # given the product's cores the damage check scans them and walks only
+    # to find the witness: its report, and the check's error, are the
+    # walk's
+    rng = random.Random(3131)
+    passed = failed = 0
+    for _ in range(300):
+        alph, c, ac = random_alphabet(rng, with_attack=True)
+        g = random_plant(rng, alph)
+        sup = S.Supervisor(random_supervisor_automaton(rng, alph, c), c)
+        h = random_damage(rng, alph)
+        walked = S.validate_damage(h, g, sup)
+        gp = generalized_product(g, sup, h, ac)
+        assert S.validate_damage(h, g, sup, gp.cores) == walked
+        if walked.ok:
+            S.non_attackable(g, sup, h, ac, validate=True)
+            passed += 1
+            continue
+        with pytest.raises(S.AutomatonError) as info:
+            S.non_attackable(g, sup, h, ac, validate=True)
+        assert str(info.value) == walked.problem
+        failed += 1
+    assert passed >= 40 and failed >= 40
+
+
 def test_oracle_atk(atk):
     r = S.attackable_by_search(atk.plant, atk.supervisor, atk.damage,
                                atk.attack, 3)
@@ -409,6 +474,10 @@ def test_differential_random_suite():
             continue
         plant, sup, damage, attack = inst
         verdict = S.non_attackable(plant, sup, damage, attack, validate=False)
+        # the check path, which the CLI takes, reads the same verdict
+        checked = S.non_attackable(plant, sup, damage, attack, validate=True)
+        assert checked.non_attackable == verdict.non_attackable
+        assert checked.witness == verdict.witness
         bound = plant.n_states * sup.n_states * damage.n_states + 2
         oracle = S.attackable_by_search(plant, sup, damage, attack, bound)
         if not oracle.conclusive:

@@ -16,6 +16,10 @@ single assumption ``c(n)``, the capacity literal of that size.  Learned
 clauses carry over from one size to the next, and no row is loaded that
 the climb does not reach.
 
+The solver resolves each blocking clause as a conflict where the model
+falsifies it, and the next solve goes on from the backjump level: each
+model redoes only what the backjump undid, not the level of ``c(n)``.
+
 Blocking clauses stay in the solver too.  That is sound: a model of size
 ``m`` is blocked on rows ``0..m-1``, whose edges stay inside those rows
 or lead to the dump, so a model that repeats them reaches no row past
@@ -90,9 +94,11 @@ def iter_size_candidates(backend: SatSolver, vt: VarTable,
     Every solve runs under the assumption ``c(vt.n)``, and every model is
     one candidate: its rows are all reachable, in canonical order, so
     :func:`decode_model` reads it as states ``s0..s{n-1}`` and
-    :func:`blocking_clause` blocks that supervisor before re-solving.
-    ``limit`` caps the models taken (callers check it with
-    :func:`check_enumeration_limit`); the enumeration is truncated at it.
+    :func:`blocking_clause` blocks that supervisor before re-solving;
+    the solver resolves that clause against the model and the next solve
+    goes on from its backjump.  ``limit`` caps the models taken (callers
+    check it with :func:`check_enumeration_limit`); the enumeration is
+    truncated at it, and which models it took depends on the search.
     """
     assumptions = [vt.capacity_var(vt.n)]
     count = 0

@@ -5,11 +5,19 @@ The backend contract expected by the encoding layer:
 * ``add_clause(lits)``: clauses may be added at any time, including after
   a satisfiable ``solve()`` (blocking clauses for model enumeration).  It
   checks the literals, non-zero ``int``s and never ``bool``s, all before
-  it reserves any variable, as ``solve`` does, and, unless
-  the clause can be watched on the kept assumption levels (below), hands
-  it to ``load_clauses``, the one place that folds root values in; a
-  watched clause may keep literals false at the root, which no watch is
-  put on and conflict analysis skips;
+  it reserves any variable, as ``solve`` does, then takes one of two
+  paths.  A clause whose every literal is false on the trail, as a
+  blocking clause is under the model it blocks, is resolved as a
+  conflict where it is false (all-solutions practice: Toda & Soh,
+  "Implementing efficient all solutions SAT solvers", ACM JEA 2016): it
+  is watched on its two highest-level literals, the solver backtracks
+  to the highest of their levels, learns the first-UIP clause, backjumps,
+  assigns the learned clause's asserting literal and keeps that trail.
+  Such a clause false at the root makes the solver permanently
+  unsatisfiable; one false only on assumption levels is resolved there
+  too, so the next call under those assumptions fails without a
+  decision.  Every other clause goes to ``load_clauses``, the one place
+  that folds root values in;
 * ``load_clauses(clauses)``: bulk loading at the root, the one way a
   clause enters there.  It skips ``add_clause``'s checks, so every
   clause must be well formed: distinct non-zero literals over the
@@ -28,13 +36,16 @@ The backend contract expected by the encoding layer:
   already true adds no assignment.  False under assumptions leaves the
   solver usable: only a conflict without assumptions makes it
   permanently unsatisfiable.  Learned and added clauses stay in the
-  solver from one call to the next.  The assumption levels of a call
-  stay on the trail after it: a clause added next keeps them when two of
-  its literals are not false there, and the next call reuses those of
-  its leading assumptions that match, so blocking models one by one
-  under a fixed assumption set does not re-propagate the set each time.
-  On True, ``model()`` yields a total assignment over every variable
-  mentioned so far;
+  solver from one call to the next, and so does the trail: a call under
+  the last call's assumption list goes on from it as a blocking conflict
+  left it, so enumerating under a fixed set redoes only what each
+  backjump undid; a call under another list keeps the levels of its
+  leading assumptions that match.  On True, ``model()`` yields a total
+  assignment over every variable mentioned so far;
+* ``stats``: ``decisions``; ``propagations``, the assignments unit
+  propagation makes (an asserting literal assigned at a backjump is not
+  one); ``solves``; and ``conflicts``, those propagation meets inside
+  ``solve`` plus the clauses ``add_clause`` resolves as conflicts;
 * runs are deterministic: identical clause and assumption sequences
   produce identical models and statistics.
 
@@ -138,12 +149,9 @@ class SatSolver:
     # -- clause management -------------------------------------------------
 
     def add_clause(self, lits: Iterable[int]) -> None:
-        """Add a clause; call between solves to block models incrementally."""
+        """Add a clause; the module docstring gives its two paths."""
         lits = list(lits)
         _check_literals(lits)  # before any variable is reserved
-        # drop the free decisions; the levels of the last call's
-        # assumptions stay (decision level k holds assumption k - 1)
-        self._backtrack(len(self._assumed))
         seen = set()
         clause = []
         for lit in lits:
@@ -154,26 +162,29 @@ class SatSolver:
             seen.add(lit)
             self.reserve(lit if lit > 0 else -lit)
             clause.append(lit)
-        if len(clause) > 1 and self._trail_lim:
-            # watch two literals that are not false on the kept assumption
-            # levels; without two, the clause goes in at the root
-            value = self._value
-            free = [k for k, lit in enumerate(clause) if value[lit] != _FALSE]
-            if len(free) >= 2:
-                if free[:2] != [0, 1]:
-                    a, b = free[:2]
-                    clause = ([clause[a], clause[b]]
-                              + [l for k, l in enumerate(clause)
-                                 if k not in (a, b)])
-                self._attach(clause)
-                return
-        self.load_clauses([clause])  # well formed now
+        value = self._value
+        if not clause or any(value[lit] != _FALSE for lit in clause):
+            self.load_clauses([clause])  # well formed now
+            return
+        # false on the trail, as a blocking clause under its model: a
+        # conflict, watched on its two highest-level literals
+        level = self._level
+        clause.sort(key=lambda lit: level[abs(lit)], reverse=True)
+        top = level[abs(clause[0])]
+        if top == 0:
+            self._unsat = True
+            return
+        self._backtrack(top)
+        if len(clause) > 1:
+            self._attach(clause)
+        self.stats["conflicts"] += 1
+        self._learn(clause)
 
     def load_clauses(self, clauses: Iterable[list[int]]) -> None:
         """Add well-formed clauses at the root (see the module docstring
         for the precondition); the solver keeps its own copies, since it
-        reorders literals in place.  Drops the assumption levels a previous
-        ``solve`` kept."""
+        reorders literals in place.  Drops the trail a previous ``solve``
+        kept."""
         self._backtrack(0)
         value = self._value
         value_of = value.__getitem__
@@ -338,6 +349,18 @@ class SatSolver:
                 break
         return learned, back
 
+    def _learn(self, conflict: list[int]) -> None:
+        """Resolve ``conflict``, false with a literal at the current level:
+        backjump, assert the learned clause, decay the activities."""
+        learned, back = self._analyze(conflict)
+        self._backtrack(back)
+        if len(learned) == 1:
+            self._assign(learned[0], None)
+        else:
+            self._attach(learned)
+            self._assign(learned[0], learned)
+        self._act_inc *= _ACT_DECAY
+
     def _backtrack(self, level: int) -> None:
         trail_lim = self._trail_lim
         if len(trail_lim) <= level:
@@ -403,14 +426,16 @@ class SatSolver:
         self.stats["solves"] += 1
         if self._unsat:
             return False
-        # keep the levels of the last call's assumptions that start this
-        # call's list too; they are still fully propagated
-        keep = 0
-        limit = min(len(self._trail_lim), len(self._assumed), len(assumptions))
-        while keep < limit and assumptions[keep] == self._assumed[keep]:
-            keep += 1
-        self._backtrack(keep)
-        self._assumed = assumptions
+        if assumptions != self._assumed:
+            # keep the levels of the last call's assumptions that start
+            # this call's list; under the same list the whole trail stays
+            keep = 0
+            limit = min(len(self._trail_lim), len(self._assumed),
+                        len(assumptions))
+            while keep < limit and assumptions[keep] == self._assumed[keep]:
+                keep += 1
+            self._backtrack(keep)
+            self._assumed = assumptions
         value = self._value
         trail = self._trail
         trail_lim = self._trail_lim
@@ -420,14 +445,7 @@ class SatSolver:
                 if not trail_lim:
                     self._unsat = True
                     return False
-                learned, back = self._analyze(conflict)
-                self._backtrack(back)
-                if len(learned) == 1:
-                    self._assign(learned[0], None)
-                else:
-                    self._attach(learned)
-                    self._assign(learned[0], learned)
-                self._act_inc *= _ACT_DECAY
+                self._learn(conflict)
                 continue
             level = len(trail_lim)
             if level < len(assumptions):

@@ -6,8 +6,10 @@ import pytest
 import supobf as S
 import supobf.cli
 from supobf.obfuscate import iter_size_candidates
+from supobf.sat import SatSolver
 from conftest import (FIXTURES, all_supervisor_automata, grown_climb,
-                      load_fixture, random_attack_instance, strings_upto)
+                      load_fixture, random_attack_instance,
+                      random_damaged_instance, strings_upto)
 
 
 def exact_size_brute_force(plant, sup, constraint, n):
@@ -315,6 +317,72 @@ def test_shared_climb_matches_fresh_encodings():
             assert sorted(shared) == [S.canonical_key(c) for c in fresh]
             compared += 1
     assert compared >= 100
+
+
+def fresh_solver_keys(num_vars, clauses, vt, limit):
+    """Canonical keys of up to ``limit`` models of exact size ``vt.n``,
+    each found by a new solver loaded with ``clauses`` and the blocking
+    clauses of the models before it."""
+    blocks, keys = [], []
+    while len(keys) < limit:
+        s = SatSolver()
+        s.reserve(num_vars)
+        s.load_clauses(clauses + blocks)
+        if not s.solve([vt.capacity_var(vt.n)]):
+            break
+        cand = S.decode_model(s.model(), vt)
+        blocks.append(S.blocking_clause(cand, vt))
+        keys.append(S.canonical_key(cand))
+    return keys
+
+
+def test_incremental_enumeration_matches_fresh_solvers(monkeypatch):
+    # the solver resolves each blocking clause against the model it
+    # blocks and goes on from its trail; per size, its classes must be
+    # those that fresh solvers find one model at a time, loaded with the
+    # rows so far and every blocking clause before the model.  A draw
+    # stops at its first size past the cap, where the models taken
+    # depend on the search
+    limit = 200
+    add_clause = SatSolver.add_clause
+    fired = set()
+
+    def watched(solver, lits):
+        before = solver.stats["conflicts"]
+        add_clause(solver, lits)
+        if solver.stats["conflicts"] > before:
+            fired.add(case)
+
+    monkeypatch.setattr(SatSolver, "add_clause", watched)
+    cases = [(pf.plant, pf.supervisor.automaton, pf.control)
+             for pf in map(load_fixture, ("atk", "example1",
+                                          "example1_obfuscated", "perf",
+                                          "single", "tri"))]
+    rng = random.Random(3)
+    for _ in range(100):
+        plant, sup, _, _ = random_damaged_instance(rng, max_states=3)
+        cases.append((plant, sup.automaton, sup.constraint))
+    compared = 0
+    for case, (plant, sup_aut, constraint) in enumerate(cases):
+        product = S.dual_marked_product(plant, sup_aut)
+        vt = S.VarTable(product.alphabet, constraint, product.marked)
+        backend, clauses = None, []
+        for n in range(1, len(S.reachable_states(sup_aut)) + 1):
+            cnf, _ = S.encode(n, product, constraint, vt)
+            clauses += cnf.clauses
+            backend = S.solve_instance(cnf, backend)
+            found = list(iter_size_candidates(backend, vt, limit))
+            if len(found) == limit:
+                break
+            assert (sorted(key for key, _ in found)
+                    == sorted(fresh_solver_keys(vt.num_vars, clauses, vt,
+                                                limit)))
+            clauses += [S.blocking_clause(cand, vt) for _, cand in found]
+            compared += 1
+    assert compared >= 150
+    # 106 at this seed: every case with a model takes the conflict-driven
+    # path
+    assert len(fired) >= 100
 
 
 def test_every_model_is_its_canonical_form():

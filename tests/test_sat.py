@@ -220,9 +220,11 @@ def test_assumption_falsified_at_root():
 
 
 def test_clauses_added_between_solves_under_assumptions():
-    # a clause added after a solve keeps the assumption levels on the
-    # trail when it can, and the next call reuses the shared prefix of
-    # its assumptions; every answer must still match brute force
+    # a clause false on the trail after a solve is resolved as a conflict
+    # there and the trail kept, any other clause goes in at the root, and
+    # the next call goes on from the trail under the same assumptions or
+    # reuses the shared prefix of its assumptions; every answer must
+    # still match brute force
     rng = random.Random(2003)
     for case in range(220):
         if case < 120:
@@ -230,7 +232,7 @@ def test_clauses_added_between_solves_under_assumptions():
             fixed = []
         else:
             # three variables fixed at the root by unit clauses; clauses
-            # watched on the kept levels keep their root-false literals
+            # resolved as conflicts keep their root-false literals
             num_vars = 6
             fixed = [rng.choice([1, -1]) * v
                      for v in rng.sample(range(1, num_vars + 1), 3)]
@@ -367,6 +369,63 @@ def test_blocking_keeps_the_assumption_levels():
     model = s.model()
     assert all(model[v] for v in range(1, 42))
     assert model[42] or model[43]
+
+
+@pytest.mark.parametrize("m", [3, 5, 7])
+def test_blocking_conflicts_keep_the_trail(m):
+    # assumption 1 implies 2..41, and 42..41+m are free; each blocking
+    # clause is resolved where the model falsifies it, and the next call
+    # goes on from the backjump level, so enumerating all 2**m models
+    # decides each free variable about once per model, and the
+    # implications are propagated once
+    s = SatSolver()
+    for v in range(2, 42):
+        s.add_clause([-1, v])
+    s.reserve(41 + m)
+    found = set()
+    while s.solve([1]):
+        model = s.model()
+        assert all(model[v] for v in range(1, 42))
+        found.add(tuple(model[v] for v in range(42, 42 + m)))
+        s.add_clause([-v if model[v] else v for v in model])
+    assert len(found) == 2 ** m
+    assert s.stats["decisions"] <= 2 ** m + m
+    # each asserting literal is assigned at its backjump, not propagated
+    assert 40 <= s.stats["propagations"] < 80
+
+
+def test_blocking_clause_false_on_the_assumption_levels():
+    # assumption 1 implies every other variable along a chain, so the
+    # model has no decision and its blocking clause is false on the
+    # assumption level alone: resolved there, it leaves the negated
+    # assumption at the root, and the next call under it fails with no
+    # decision, no conflict and no propagation of the chain
+    num_vars = 12
+    clauses = ([[-v, v + 1] for v in range(1, num_vars)]
+               + [[-3, -5, 7], [2, 4, -6]])
+    s = SatSolver()
+    for cl in clauses:
+        s.add_clause(cl)
+    assert s.solve([1])
+    model = s.model()
+    assert all(model.values())
+    block = [-v for v in model]
+    clauses.append(block)
+    s.add_clause(block)
+    before = dict(s.stats)
+    assert not s.solve([1])
+    assert s.stats == dict(before, solves=before["solves"] + 1)
+    # the solver still answers every other call as brute force does
+    expected = brute_force_sat(num_vars, clauses)
+    rng = random.Random(21)
+    for _ in range(30):
+        assumptions = random_assumptions(rng, num_vars)
+        want = any(consistent(m, assumptions) for m in expected)
+        assert s.solve(assumptions) == want
+        if want:
+            model = s.model()
+            assert check_model(model, clauses)
+            assert all(model[abs(l)] == (l > 0) for l in assumptions)
 
 
 def test_blocking_enumeration_across_assumption_sets():
